@@ -135,7 +135,7 @@ def cmd_check(args) -> int:
         no_model = model is None
 
     if args.json:
-        payload = {"ok": report.ok and not no_model, **report.to_dict()}
+        payload = {**report.to_dict(), "ok": report.ok and not no_model}
         if args.model is not None:
             payload["model_bound"] = args.model
             payload["model"] = model.to_dict() if model else None

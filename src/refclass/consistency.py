@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    UNIVERSAL,
     CanonicalClass,
     CanonicalProperty,
     ClosedKB,
@@ -47,20 +46,14 @@ class SanityReport:
 def sanity_check(ckb: ClosedKB) -> SanityReport:
     """Fast necessary conditions for the existence of a model."""
     report = SanityReport()
-    for (atoms, prop), iv in sorted(ckb.stats.items(),
-                                    key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
-        if iv.lo > iv.hi:
-            report.violations.append(
-                f"empty fused interval for %({CanonicalClass(atoms)}, {prop.describe()})"
-            )
     for cls in sorted(ckb.subset_cycle_classes, key=CanonicalClass.sort_key):
         report.violations.append(f"subset cycle through class {cls}")
     # Membership/subset coherence: asserted inclusion without the implied
     # membership is flagged as missing knowledge, not an error.
+    edges = sorted(ckb.subset_edges, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
     for ind in sorted(ckb.individuals):
         classes = ckb.known_memberships(ind)
-        for sub, sup in sorted(ckb.subset_edges,
-                               key=lambda p: (p[0].sort_key(), p[1].sort_key())):
+        for sub, sup in edges:
             if sub in classes and sup not in classes:
                 report.warnings.append(
                     f"{ind} is known to be in {sub} and {sub} < {sup} is asserted, "

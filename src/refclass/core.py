@@ -2,16 +2,18 @@
 
 A knowledge base is built incrementally through :class:`KBBuilder` and then
 frozen into a :class:`ClosedKB`, which carries the deductively closed view
-(intersection-closed memberships, transitive subset relation, sentence
-equivalence classes, fused statistical intervals).  All queries run against
-the closed form.
+(intersection-closed memberships, the reach of asserted subset edges,
+sentence equivalence classes, fused statistical intervals).  All queries run
+against the closed form.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -511,7 +513,13 @@ def _check_identifier(name: str) -> None:
 
 @dataclass(frozen=True)
 class ClosedKB:
-    """The knowledge base after deductive closure.  Immutable."""
+    """The knowledge base after deductive closure.  Immutable.
+
+    ``subset_reach`` maps each asserted subclass to the asserted
+    superclasses reachable from it by asserted hops joined by atom-superset
+    steps.  Known inclusion is the composition of atom-superset steps with
+    asserted hops, so this is all :meth:`subset_known` needs.
+    """
 
     class_atoms: frozenset[str]
     property_atoms: frozenset[str]
@@ -520,7 +528,7 @@ class ClosedKB:
     memberships: Mapping[str, frozenset[CanonicalClass]]
     universe: frozenset[CanonicalClass]
     subset_edges: frozenset[tuple[CanonicalClass, CanonicalClass]]
-    subset_pairs: frozenset[tuple[CanonicalClass, CanonicalClass]]
+    subset_reach: Mapping[CanonicalClass, frozenset[CanonicalClass]]
     subset_cycle_classes: frozenset[CanonicalClass]
     sentence_groups: Mapping[str, frozenset[str]]
     sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]]
@@ -533,29 +541,45 @@ class ClosedKB:
         return self.memberships[individual]
 
     def subset_known(self, c1: CanonicalClass, c2: CanonicalClass) -> bool:
-        """True iff `c1` is a known proper subclass of `c2`."""
+        """True iff `c1` is a known proper subclass of `c2`.
+
+        Either c1's atoms strictly include c2's, or some asserted subclass
+        within c1 reaches an asserted superclass that includes c2.  Exact
+        for any two classes, inside the mentioned universe or not.
+        """
         if c1 == c2:
             return False
-        if set(c1.atoms) > set(c2.atoms):
+        atoms = set(c1.atoms)
+        if atoms.issuperset(c2.atoms):
             return True
-        if (c1, c2) in self.subset_pairs:
-            return True
-        # Query classes may lie outside the mentioned universe; chase
-        # structural and asserted links through it.
-        nodes = set(self.universe) | {c1, c2}
-        seen = {c1}
-        frontier = [c1]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in nodes:
-                if nxt in seen:
-                    continue
-                if set(cur.atoms) > set(nxt.atoms) or (cur, nxt) in self.subset_edges:
-                    if nxt == c2:
-                        return True
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
+        return any(
+            atoms.issuperset(sub.atoms)
+            and any(set(sup.atoms).issuperset(c2.atoms) for sup in reached)
+            for sub, reached in self.subset_reach.items()
+        )
+
+    @cached_property
+    def subset_pairs(self) -> frozenset[tuple[CanonicalClass, CanonicalClass]]:
+        """Every known proper inclusion between classes of the universe.
+
+        Computed on first access: only the closure dump reads it.
+        """
+        by_atoms = {c.atoms: c for c in self.universe}
+        within_sup = {
+            sup: _classes_within(sup.atoms, by_atoms)
+            for sup in set().union(*self.subset_reach.values())
+        }
+        pairs: set[tuple[CanonicalClass, CanonicalClass]] = set()
+        for c in self.universe:
+            atoms = set(c.atoms)
+            supers = set(_classes_within(c.atoms, by_atoms))
+            for sub, reached in self.subset_reach.items():
+                if atoms.issuperset(sub.atoms):
+                    for sup in reached:
+                        supers.update(within_sup[sup])
+            supers.discard(c)
+            pairs.update((c, d) for d in supers)
+        return frozenset(pairs)
 
     def effective_interval(self, cls: CanonicalClass, prop: CanonicalProperty) -> Interval:
         """The fused interval, defaulting to [0,1]; tautologies/contradictions pinned."""
@@ -569,30 +593,66 @@ class ClosedKB:
         return UNIT
 
 
+def _classes_within(atoms: tuple[str, ...],
+                    by_atoms: Mapping[tuple[str, ...], CanonicalClass]) -> list[CanonicalClass]:
+    """The classes of `by_atoms` whose atoms are a subset of `atoms`."""
+    if 1 << len(atoms) <= len(by_atoms):
+        return [by_atoms[sub] for k in range(len(atoms) + 1)
+                for sub in itertools.combinations(atoms, k) if sub in by_atoms]
+    have = set(atoms)
+    return [c for sub, c in by_atoms.items() if have.issuperset(sub)]
+
+
+def _subset_reach(subsets: list[Subset]) -> dict[CanonicalClass, frozenset[CanonicalClass]]:
+    """Per asserted subclass, the asserted superclasses its chains reach."""
+    reach: dict[CanonicalClass, frozenset[CanonicalClass]] = {}
+    for start in {s.sub for s in subsets}:
+        seen: set[CanonicalClass] = set()
+        frontier = [start]
+        while frontier:
+            atoms = set(frontier.pop().atoms)
+            for s in subsets:
+                if s.sup not in seen and atoms.issuperset(s.sub.atoms):
+                    seen.add(s.sup)
+                    frontier.append(s.sup)
+        reach[start] = frozenset(seen)
+    return reach
+
+
 def close(builder: KBBuilder) -> ClosedKB:
     """Compute the deductive closure of the builder's contents.
 
-    Memberships are closed under intersection, the subset relation is the
-    transitive closure of asserted plus structural inclusions, sentence
-    labels are partitioned by their equivalence links, and statistical
-    intervals are fused (direct assertions, complement reflections, the
-    [0,1] default).  An empty fused interval raises InconsistencyError.
+    Memberships are closed under intersection, asserted subset edges are
+    closed into their reach (structural inclusions are read off atom sets
+    when asked), sentence labels are partitioned by their equivalence
+    links, and statistical intervals are fused (direct assertions,
+    complement reflections, the [0,1] default).  An empty fused interval
+    raises InconsistencyError.
     """
-    # memberships: intersection closure per individual, plus U
-    memberships: dict[str, frozenset[CanonicalClass]] = {}
-    for ind in builder.individuals:
-        classes = {m.cls for m in builder.members if m.individual == ind}
-        closed = set(classes)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.combinations(list(closed), 2):
-                inter = a.intersect(b)
-                if inter not in closed:
-                    closed.add(inter)
-                    changed = True
-        closed.add(UNIVERSAL)
-        memberships[ind] = frozenset(closed)
+    # memberships: intersection closure per individual, plus U.  Equal
+    # classes are shared between individuals.
+    memberships = dict.fromkeys(builder.individuals, frozenset({UNIVERSAL}))
+    interned: dict[frozenset[str], CanonicalClass] = {}
+    by_individual = attrgetter("individual")
+    for ind, group in itertools.groupby(sorted(builder.members, key=by_individual),
+                                        key=by_individual):
+        generators = [frozenset(m.cls.atoms) for m in group]
+        closed = set(generators)
+        frontier = list(closed)
+        while frontier:
+            cur = frontier.pop()
+            for g in generators:
+                union = cur | g
+                if union not in closed:
+                    closed.add(union)
+                    frontier.append(union)
+        classes = {UNIVERSAL}
+        for atoms in closed:
+            cls = interned.get(atoms)
+            if cls is None:
+                cls = interned[atoms] = CanonicalClass(tuple(sorted(atoms)))
+            classes.add(cls)
+        memberships[ind] = frozenset(classes)
 
     # mentioned-class universe
     universe: set[CanonicalClass] = {UNIVERSAL}
@@ -600,32 +660,22 @@ def close(builder: KBBuilder) -> ClosedKB:
         universe |= ms
     for s in builder.stats:
         universe.add(s.cls)
-    for s in builder.subsets:
+    subsets = builder.subsets
+    for s in subsets:
         universe.add(s.sub)
         universe.add(s.sup)
 
-    # subset relation: asserted edges + structural edges, transitively closed
-    edges: dict[CanonicalClass, set[CanonicalClass]] = {c: set() for c in universe}
-    for s in builder.subsets:
-        edges[s.sub].add(s.sup)
-    for a in universe:
-        for b in universe:
-            if set(a.atoms) > set(b.atoms):
-                edges[a].add(b)
-    pairs: set[tuple[CanonicalClass, CanonicalClass]] = set()
+    # subset relation: the reach of asserted edges.  A class lies on a
+    # cycle iff an asserted subclass within it reaches a superclass of it.
+    reach = _subset_reach(subsets)
     cycle_classes: set[CanonicalClass] = set()
-    for start in universe:
-        seen: set[CanonicalClass] = set()
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in edges[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if start in seen:
-            cycle_classes.add(start)
-        pairs.update((start, c) for c in seen if c != start)
+    for sub, reached in reach.items():
+        for sup in reached:
+            if set(sup.atoms).issuperset(sub.atoms):
+                cycle_classes.update(
+                    c for c in universe
+                    if set(c.atoms).issuperset(sub.atoms) and set(sup.atoms).issuperset(c.atoms)
+                )
 
     # sentence partition (union-find over equivalence links)
     parent: dict[str, str] = {s: s for s in builder.sentence_forms}
@@ -694,8 +744,8 @@ def close(builder: KBBuilder) -> ClosedKB:
         statements=tuple(statements),
         memberships=memberships,
         universe=frozenset(universe),
-        subset_edges=frozenset((s.sub, s.sup) for s in builder.subsets),
-        subset_pairs=frozenset(pairs),
+        subset_edges=frozenset((s.sub, s.sup) for s in subsets),
+        subset_reach=reach,
         subset_cycle_classes=frozenset(cycle_classes),
         sentence_groups=sentence_groups,
         sentence_forms=sentence_forms,

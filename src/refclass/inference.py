@@ -16,6 +16,7 @@ from .core import (
     CanonicalProperty,
     ClosedKB,
     Interval,
+    UNIT,
 )
 
 # Undefined reasons
@@ -92,17 +93,20 @@ def filter_rows(ckb: ClosedKB, rows: list[TableRow]) -> list[TableRow]:
     """Keep a row iff every differing competitor is a known superset of it.
 
     Deleted rows carry the first (in table order) unexcused competitor as
-    witness.
+    witness.  A [0,1] row includes every interval, so it never differs:
+    it is kept without comparisons and is never a witness.
     """
+    competitors = [r for r in rows if r.interval != UNIT]
     out: list[TableRow] = []
     for row in rows:
         witness = None
-        for other in rows:
-            if other.cls == row.cls:
-                continue
-            if differ(row.interval, other.interval) and not ckb.subset_known(row.cls, other.cls):
-                witness = other.cls
-                break
+        if row.interval != UNIT:
+            for other in competitors:
+                if other.cls == row.cls:
+                    continue
+                if differ(row.interval, other.interval) and not ckb.subset_known(row.cls, other.cls):
+                    witness = other.cls
+                    break
         if witness is None:
             out.append(row)
         else:

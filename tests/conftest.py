@@ -134,6 +134,40 @@ def random_builder(
     return b
 
 
+def random_subset_builder(rng: random.Random) -> rc.KBBuilder:
+    """A builder rich in asserted subsets: multi-atom endpoints, chains joined
+    only by atom-superset steps (`a < b & c`, `b < d`), and cycles."""
+    b = rc.KBBuilder()
+    atoms = [f"a{i}" for i in range(rng.randint(3, 5))]
+    for name in atoms:
+        b.declare_class(name)
+
+    def rand_class(max_atoms: int = 3) -> rc.CanonicalClass:
+        k = rng.randint(1, min(max_atoms, len(atoms)))
+        return rc.CanonicalClass(tuple(sorted(rng.sample(atoms, k))))
+
+    def subset(sub: rc.CanonicalClass, sup: rc.CanonicalClass) -> None:
+        if sub != sup:
+            b.assert_subset(sub, sup)
+
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        sub, sup = rand_class(), rand_class()
+        subset(sub, sup)
+        if kind < 0.4:
+            # continue the chain from a class the superclass includes
+            k = rng.randint(1, len(sup.atoms))
+            subset(rc.CanonicalClass(tuple(sorted(rng.sample(sup.atoms, k)))), rand_class())
+        elif kind < 0.6:
+            # close a cycle back into (a class within) the subclass
+            subset(sup, rc.CanonicalClass(tuple(sorted(rng.sample(sub.atoms, 1)))))
+    for i in range(rng.randint(0, 2)):
+        b.declare_individual(f"i{i}")
+        for _ in range(rng.randint(1, 3)):
+            b.assert_member(f"i{i}", rand_class(2))
+    return b
+
+
 def random_sane_kbs(
     seed: int,
     count: int,
@@ -158,6 +192,57 @@ def random_sane_kbs(
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+
+def oracle_subset_known(ckb: rc.ClosedKB, c1: rc.CanonicalClass,
+                        c2: rc.CanonicalClass) -> bool:
+    """Brute-force known proper inclusion: a search from c1 for c2 over
+    U ∪ {c1, c2}, stepping along structural edges (strict atom superset)
+    and asserted subset edges."""
+    if c1 == c2:
+        return False
+    if set(c1.atoms) > set(c2.atoms):
+        return True
+    nodes = set(ckb.universe) | {c1, c2}
+    seen = {c1}
+    frontier = [c1]
+    while frontier:
+        cur = frontier.pop()
+        for nxt in nodes:
+            if nxt in seen:
+                continue
+            if set(cur.atoms) > set(nxt.atoms) or (cur, nxt) in ckb.subset_edges:
+                if nxt == c2:
+                    return True
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
+
+
+def oracle_subset_closure(ckb: rc.ClosedKB):
+    """Brute-force closure over U: every structural edge plus the asserted
+    ones, closed by a search from each class.  Returns (pairs, classes on a
+    cycle)."""
+    edges = {c: set() for c in ckb.universe}
+    for sub, sup in ckb.subset_edges:
+        edges[sub].add(sup)
+    for a in ckb.universe:
+        for b in ckb.universe:
+            if set(a.atoms) > set(b.atoms):
+                edges[a].add(b)
+    pairs, cycle_classes = set(), set()
+    for start in ckb.universe:
+        seen = set()
+        frontier = [start]
+        while frontier:
+            for nxt in edges[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        if start in seen:
+            cycle_classes.add(start)
+        pairs.update((start, c) for c in seen if c != start)
+    return frozenset(pairs), frozenset(cycle_classes)
 
 
 def oracle_differ(a: rc.Interval, b: rc.Interval) -> bool:

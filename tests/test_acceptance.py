@@ -7,13 +7,12 @@ pass/fail lines.
 import functools
 from fractions import Fraction
 
-import pytest
-
 import refclass as rc
 from conftest import (
     coin_builder,
     conflict_builder,
     oracle_filter,
+    oracle_subset_known,
     random_sane_kbs,
 )
 
@@ -151,7 +150,8 @@ def test_c8_filter_oracle():
                 for form in trace.forms:
                     rows = [rc.TableRow(r.cls, r.interval) for r in form.rows]
                     got = {r.cls for r in form.rows if r.status == "live"}
-                    want = set(oracle_filter(rows, ckb.subset_known))
+                    want = set(oracle_filter(
+                        rows, functools.partial(oracle_subset_known, ckb)))
                     assert got == want
 
 

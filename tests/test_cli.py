@@ -1,6 +1,8 @@
 """CLI: commands, exit codes, JSON output."""
 
 import json
+import os
+import shlex
 
 import pytest
 
@@ -129,6 +131,7 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["model"]["size"] == 2
+        assert payload["ok"] is True
 
     def test_no_model_within_bound(self, kb_file, capsys):
         code = run(["check", kb_file(COIN), "--model", "1", "--json"])
@@ -136,6 +139,7 @@ class TestCheck:
         assert code == 4
         assert payload["model"] is None
         assert payload["model_bound"] == 1
+        assert payload["ok"] is False
 
     def test_cycle_exit_two(self, kb_file, capsys):
         code = run(["check", kb_file(CYCLIC), "--json"])
@@ -170,3 +174,21 @@ class TestDump:
         first = capsys.readouterr().out
         run(["dump", path, "--json"])
         assert capsys.readouterr().out == first
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "tests", "fixtures", "cli_outputs.json"), encoding="utf-8") as fh:
+    PINNED = json.load(fh)
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_pinned_output(command, capsys, monkeypatch):
+    """Byte-identical output and exit code on the bundled and fixture KBs.
+
+    Pinned from the engine that materialised the whole subset closure; the
+    one deliberate difference is `"ok": false` on the no-model `check`.
+    """
+    monkeypatch.chdir(ROOT)
+    code = run(shlex.split(command))
+    assert code == PINNED[command]["exit"]
+    assert capsys.readouterr().out == PINNED[command]["stdout"]

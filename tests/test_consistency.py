@@ -2,10 +2,8 @@
 
 from fractions import Fraction
 
-import pytest
-
 import refclass as rc
-from conftest import coin_builder, naive_model_exists, random_sane_kbs
+from conftest import naive_model_exists, random_sane_kbs
 
 
 def cls(*atoms):

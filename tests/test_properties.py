@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
