@@ -12,6 +12,7 @@ verdict.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -163,6 +164,16 @@ def verify_model(ckb: ClosedKB, model: FiniteModel) -> bool:
     return True
 
 
+def _smallest_extension(stat: Stat, n_max: int) -> Optional[int]:
+    """The smallest class size m <= n_max at which the stat can hold exactly:
+    some integer count lies in [lo·m, hi·m].  None if no size fits."""
+    lo, hi = stat.interval.lo, stat.interval.hi
+    for m in range(1, n_max + 1):
+        if math.ceil(lo * m) <= math.floor(hi * m):
+            return m
+    return None
+
+
 def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     """Exhaustive search over population sizes 1..n_max.
 
@@ -170,12 +181,25 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     is pure symmetry breaking); anonymous elements are enumerated as a
     non-decreasing type sequence.  Returns the first model in canonical
     order, or None if the bound is exhausted.
+
+    Sizes below the smallest class size some stat can hold at are skipped,
+    since no model has them.  Each candidate is tested from bitmasks over
+    the element types and from its type counts; only the one returned is
+    built as a FiniteModel, and :func:`verify_model` re-checks it.
     """
     class_atoms = tuple(sorted(ckb.class_atoms))
     property_atoms = tuple(sorted(ckb.property_atoms))
     individuals = tuple(sorted(ckb.individuals))
     nc, np_ = len(class_atoms), len(property_atoms)
     n_types = 1 << (nc + np_)
+    stats = [s for s in ckb.statements if isinstance(s, Stat)]
+
+    start = max(1, len(individuals))
+    for s in stats:
+        smallest = _smallest_extension(s, n_max)
+        if smallest is None:
+            return None
+        start = max(start, smallest)
 
     def type_to_sets(t: int) -> tuple[frozenset[str], frozenset[str]]:
         cs = frozenset(class_atoms[i] for i in range(nc) if t >> i & 1)
@@ -183,6 +207,59 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
         return cs, ps
 
     type_sets = [type_to_sets(t) for t in range(n_types)]
+
+    # Per-type masks: bit t is set iff an element of type t is in the
+    # class (or satisfies the property).
+    def class_mask(cls: CanonicalClass) -> int:
+        need = set(cls.atoms)
+        return sum(1 << t for t in range(n_types) if need <= type_sets[t][0])
+
+    def prop_mask(prop: CanonicalProperty) -> int:
+        return sum(1 << t for t in range(n_types) if prop.evaluate(type_sets[t][1]))
+
+    class_masks = [class_mask(c) for c in _mentioned_classes(ckb)]
+    prop_masks = [prop_mask(p) for p in _mentioned_props(ckb)]
+    # A candidate's support (the set of types it uses) must meet every mask
+    # in `must_meet` and miss `must_miss`: non-empty, pairwise-distinct
+    # extensions, and inclusion for each asserted subset.  Both ends of a
+    # subset are mentioned classes, so distinctness makes it proper.
+    must_meet = class_masks + [a ^ b for a, b in itertools.combinations(class_masks, 2)]
+    must_meet += [a ^ b for a, b in itertools.combinations(prop_masks, 2)]
+    must_miss = 0
+    for s in ckb.statements:
+        if isinstance(s, Subset):
+            must_miss |= class_mask(s.sub) & ~class_mask(s.sup)
+    stat_tests = []
+    for s in stats:
+        cls = class_mask(s.cls)
+        iv = s.interval
+        stat_tests.append((cls, cls & prop_mask(s.prop), iv.lo.numerator,
+                           iv.lo.denominator, iv.hi.numerator, iv.hi.denominator))
+    # Equivalent sentence forms, as (property mask, individual slot) pairs.
+    slot = {ind: k for k, ind in enumerate(individuals)}
+    form_groups = {
+        frozenset(group): [(prop_mask(p), slot[ind]) for p, ind in ckb.sentence_forms[label]]
+        for label, group in ckb.sentence_groups.items()
+    }.values()
+
+    def forms_agree(ind_types: tuple[int, ...]) -> bool:
+        return all(
+            len({mask >> ind_types[k] & 1 for mask, k in forms}) <= 1
+            for forms in form_groups
+        )
+
+    def passes(types: tuple[int, ...]) -> bool:
+        support = 0
+        for t in types:
+            support |= 1 << t
+        if support & must_miss or not all(support & mask for mask in must_meet):
+            return False
+        for cls, hit, lo_num, lo_den, hi_num, hi_den in stat_tests:
+            d = sum(cls >> t & 1 for t in types)
+            x = sum(hit >> t & 1 for t in types)
+            if not lo_num * d <= x * lo_den or not x * hi_den <= hi_num * d:
+                return False
+        return True
 
     # Required class bits per individual, from asserted memberships.
     required: dict[str, int] = {i: 0 for i in individuals}
@@ -198,17 +275,22 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     choice_lists = [individual_type_choices(i) for i in individuals]
     m = len(individuals)
 
-    for n in range(max(1, m), n_max + 1):
-        for ind_types in itertools.product(*choice_lists) if m else [()]:
+    for n in range(start, n_max + 1):
+        for ind_types in itertools.product(*choice_lists):
+            if not forms_agree(ind_types):
+                continue
             for anon in itertools.combinations_with_replacement(range(n_types), n - m):
-                types = list(ind_types) + list(anon)
-                population = tuple(type_sets[t] for t in types)
+                types = ind_types + anon
+                if not passes(types):
+                    continue
                 model = FiniteModel(
                     class_atoms=class_atoms,
                     property_atoms=property_atoms,
-                    population=population,
-                    individual_map={ind: k for k, ind in enumerate(individuals)},
+                    population=tuple(type_sets[t] for t in types),
+                    individual_map=slot,
                 )
-                if verify_model(ckb, model):
-                    return model
+                if not verify_model(ckb, model):
+                    raise RuntimeError(f"find_model: candidate {types} passed the "
+                                       "count tests but verify_model rejects it")
+                return model
     return None

@@ -193,7 +193,6 @@ class _LineParser:
     def interval_expr(self) -> Interval:
         if self.cur.kind == "sym" and self.cur.text == "=":
             self.advance()
-            tok = self.cur
             value = self.expect_num()
             return Interval(value, value)
         if self.cur.kind == "id" and self.cur.text == "in":

@@ -168,16 +168,68 @@ def random_subset_builder(rng: random.Random) -> rc.KBBuilder:
     return b
 
 
+# Point values in lowest terms over 10 and 20, and intervals whose smallest
+# class size with an exact count in them is 2, 3, 4 and 5.
+_TENTHS = [Fraction(k, 10) for k in (1, 3, 7, 9)] + \
+    [Fraction(k, 20) for k in (1, 3, 7, 9, 11, 13, 17, 19)]
+_NARROW = [rc.Interval(Fraction(1, 3), Fraction(2, 3)),
+           rc.Interval(Fraction(1, 4), Fraction(1, 3)),
+           rc.Interval(Fraction(1, 5), Fraction(1, 4)),
+           rc.Interval(Fraction(3, 20), Fraction(1, 5))]
+
+
+def random_arith_builder(rng: random.Random) -> rc.KBBuilder | None:
+    """A small builder whose stats constrain class sizes: points over 10 and
+    20, intervals too narrow for a one-element class, and grid values."""
+    b = rc.KBBuilder()
+    classes = [f"c{i}" for i in range(rng.randint(1, 2))]
+    inds = [f"i{i}" for i in range(rng.randint(1, 2))]
+    for name in classes:
+        b.declare_class(name)
+    b.declare_property("p")
+    for name in inds:
+        b.declare_individual(name)
+    p = rc.canonicalize_property(rc.PropAtom("p"))
+
+    def rand_class() -> rc.CanonicalClass:
+        k = rng.randint(1, len(classes))
+        return rc.CanonicalClass(tuple(sorted(rng.sample(classes, k))))
+
+    try:
+        for ind in inds:
+            if rng.random() < 0.6:
+                b.assert_member(ind, rand_class())
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.random()
+            if kind < 0.3:
+                iv = rc.Interval.point(rng.choice(_TENTHS))
+            elif kind < 0.8:
+                iv = rng.choice(_NARROW)
+            else:
+                iv = rc.Interval.point(rng.choice(_GRID))
+            b.assert_stat(rand_class(), rng.choice([p, p.negate()]), iv)
+        if len(classes) == 2 and rng.random() < 0.3:
+            b.assert_subset(rc.CanonicalClass(("c0",)), rc.CanonicalClass(("c1",)))
+        for k, ind in enumerate(inds):
+            b.declare_sentence(f"S{k}", rng.choice([p, p.negate()]), ind)
+        if len(inds) == 2 and rng.random() < 0.6:
+            b.assert_equiv("S0", "S1")
+    except rc.KBError:
+        return None
+    return b
+
+
 def random_sane_kbs(
     seed: int,
     count: int,
+    make=random_builder,
     **kwargs,
 ) -> list[tuple[rc.KBBuilder, rc.ClosedKB]]:
     """Generate `count` KBs that close successfully and pass sanity checks."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        b = random_builder(rng, **kwargs)
+        b = make(rng, **kwargs)
         if b is None:
             continue
         try:
@@ -316,6 +368,46 @@ def naive_model_exists(ckb: rc.ClosedKB, n_max: int) -> bool:
                 if rc.verify_model(ckb, model):
                     return True
     return False
+
+
+def oracle_find_model(ckb: rc.ClosedKB, n_max: int):
+    """The exhaustive search the model finder replaced: sizes ascending,
+    individuals in the first slots, anonymous elements as a non-decreasing
+    type sequence, and `verify_model` on every candidate.  Returns the first
+    model in that canonical order, or None."""
+    class_atoms = tuple(sorted(ckb.class_atoms))
+    property_atoms = tuple(sorted(ckb.property_atoms))
+    individuals = tuple(sorted(ckb.individuals))
+    nc, np_ = len(class_atoms), len(property_atoms)
+    n_types = 1 << (nc + np_)
+
+    def type_to_sets(t):
+        cs = frozenset(class_atoms[i] for i in range(nc) if t >> i & 1)
+        ps = frozenset(property_atoms[j] for j in range(np_) if t >> (nc + j) & 1)
+        return cs, ps
+
+    type_sets = [type_to_sets(t) for t in range(n_types)]
+    required = {i: 0 for i in individuals}
+    for s in ckb.statements:
+        if isinstance(s, rc.Member):
+            for a in s.cls.atoms:
+                required[s.individual] |= 1 << class_atoms.index(a)
+    choice_lists = [[t for t in range(n_types) if t & required[i] == required[i]]
+                    for i in individuals]
+    m = len(individuals)
+    for n in range(max(1, m), n_max + 1):
+        for ind_types in itertools.product(*choice_lists) if m else [()]:
+            for anon in itertools.combinations_with_replacement(range(n_types), n - m):
+                types = list(ind_types) + list(anon)
+                model = rc.FiniteModel(
+                    class_atoms=class_atoms,
+                    property_atoms=property_atoms,
+                    population=tuple(type_sets[t] for t in types),
+                    individual_map={ind: k for k, ind in enumerate(individuals)},
+                )
+                if rc.verify_model(ckb, model):
+                    return model
+    return None
 
 
 def closure_signature(ckb: rc.ClosedKB):

@@ -2,8 +2,16 @@
 
 from fractions import Fraction
 
+import pytest
+
 import refclass as rc
-from conftest import naive_model_exists, random_sane_kbs
+from refclass import consistency
+from conftest import (
+    naive_model_exists,
+    oracle_find_model,
+    random_arith_builder,
+    random_sane_kbs,
+)
 
 
 def cls(*atoms):
@@ -106,6 +114,49 @@ class TestFindModel:
         assert rc.verify_model(b.close(), model)
 
 
+def stat_kb(interval):
+    b = rc.KBBuilder()
+    b.declare_class("r")
+    b.declare_property("p")
+    b.assert_stat(cls("r"), prop("p"), interval)
+    return b.close()
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts the model finder's calls to verify_model."""
+    calls = []
+
+    def counting(ckb, model):
+        calls.append(model)
+        return rc.verify_model(ckb, model)
+
+    monkeypatch.setattr(consistency, "verify_model", counting)
+    return calls
+
+
+class TestArithmeticPrecheck:
+    def test_point_denominator_above_bound(self, verify_calls):
+        ckb = stat_kb(rc.Interval.point(Fraction(3, 10)))
+        assert rc.find_model(ckb, 9) is None
+        assert verify_calls == []
+        model = rc.find_model(ckb, 10)
+        assert model is not None
+        assert len(model.population) == 10
+        assert rc.verify_model(ckb, model)
+        assert verify_calls == [model]
+
+    def test_interval_narrower_than_one_element(self, verify_calls):
+        # [1/4, 1/3] holds an integer count only for classes of 3 or more
+        ckb = stat_kb(rc.Interval(Fraction(1, 4), Fraction(1, 3)))
+        assert rc.find_model(ckb, 2) is None
+        assert verify_calls == []
+        model = rc.find_model(ckb, 3)
+        assert model is not None
+        assert model.to_dict() == oracle_find_model(ckb, 3).to_dict()
+        assert len(verify_calls) == 1
+
+
 class TestVerifyModel:
     def test_roundtrip(self, coin_kb):
         model = rc.find_model(coin_kb, 3)
@@ -167,6 +218,18 @@ class TestOracleEquivalence:
             for bound in (1, 2, 3):
                 assert (rc.find_model(ckb, bound) is not None) == \
                     naive_model_exists(ckb, bound), str(ckb.statements)
+
+    @pytest.mark.parametrize("seed, count, shape", [
+        (6060, 24, dict(max_classes=3, max_props=2, max_inds=2, allow_equiv=True)),
+        (6061, 60, dict(make=random_arith_builder)),
+    ], ids=["random", "arith"])
+    def test_matches_previous_search(self, seed, count, shape):
+        """The same first model as the exhaustive search, at every bound."""
+        for _, ckb in random_sane_kbs(seed, count, **shape):
+            for bound in range(1, 5):
+                got, want = rc.find_model(ckb, bound), oracle_find_model(ckb, bound)
+                assert (got and got.to_dict()) == (want and want.to_dict()), \
+                    (str(ckb.statements), bound)
 
     def test_model_search_sound_wrt_close(self):
         kbs = random_sane_kbs(777, 20, max_classes=2, max_props=2, max_inds=1,
