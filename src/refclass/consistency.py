@@ -12,7 +12,6 @@ verdict.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -24,6 +23,7 @@ from .core import (
     Member,
     Stat,
     Subset,
+    _covered,
 )
 
 
@@ -51,11 +51,15 @@ def sanity_check(ckb: ClosedKB) -> SanityReport:
         report.violations.append(f"subset cycle through class {cls}")
     # Membership/subset coherence: asserted inclusion without the implied
     # membership is flagged as missing knowledge, not an error.
-    edges = sorted(ckb.subset_edges, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    edges = [(sub, sup, frozenset(sub.atoms), frozenset(sup.atoms))
+             for sub, sup in sorted(ckb.subset_edges,
+                                    key=lambda p: (p[0].sort_key(), p[1].sort_key()))]
     for ind in sorted(ckb.individuals):
-        classes = ckb.known_memberships(ind)
-        for sub, sup in edges:
-            if sub in classes and sup not in classes:
+        gens = ckb.generators[ind]
+        top = frozenset(ckb.tops[ind].atoms)
+        for sub, sup, sub_atoms, sup_atoms in edges:
+            if sub_atoms <= top and _covered(gens, sub_atoms) \
+                    and not (sup_atoms <= top and _covered(gens, sup_atoms)):
                 report.warnings.append(
                     f"{ind} is known to be in {sub} and {sub} < {sup} is asserted, "
                     f"but membership of {ind} in {sup} is not in the knowledge base"
@@ -70,7 +74,7 @@ class FiniteModel:
     class_atoms: tuple[str, ...]
     property_atoms: tuple[str, ...]
     population: tuple[tuple[frozenset[str], frozenset[str]], ...]
-    individual_map: dict[str, int]
+    individual_map: dict[str, int] = field(hash=False)
 
     def extension(self, cls: CanonicalClass) -> list[int]:
         need = set(cls.atoms)
@@ -168,8 +172,9 @@ def _smallest_extension(stat: Stat, n_max: int) -> Optional[int]:
     """The smallest class size m <= n_max at which the stat can hold exactly:
     some integer count lies in [lo·m, hi·m].  None if no size fits."""
     lo, hi = stat.interval.lo, stat.interval.hi
+    lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     for m in range(1, n_max + 1):
-        if math.ceil(lo * m) <= math.floor(hi * m):
+        if -(-lo_num * m // lo_den) <= hi_num * m // hi_den:  # ceil(lo·m) <= floor(hi·m)
             return m
     return None
 

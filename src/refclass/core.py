@@ -2,8 +2,9 @@
 
 A knowledge base is built incrementally through :class:`KBBuilder` and then
 frozen into a :class:`ClosedKB`, which carries the deductively closed view
-(intersection-closed memberships, the reach of asserted subset edges,
-sentence equivalence classes, fused statistical intervals).  All queries run
+(memberships as their asserted generators, whose closure under intersection
+is implicit, the reach of asserted subset edges, sentence equivalence
+classes, fused statistical intervals indexed by property).  All queries run
 against the closed form.
 """
 
@@ -14,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class KBError(Exception):
@@ -61,6 +64,13 @@ class CanonicalClass:
     def __post_init__(self):
         if tuple(sorted(set(self.atoms))) != self.atoms:
             raise ValidationError(f"class atoms not canonical: {self.atoms!r}")
+
+    @classmethod
+    def _from_sorted(cls, atoms: tuple[str, ...]) -> "CanonicalClass":
+        """A class from atoms already sorted and distinct, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "atoms", atoms)
+        return self
 
     @property
     def is_universal(self) -> bool:
@@ -511,34 +521,124 @@ def _check_identifier(name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# property -> atom tuple -> (class, fused interval)
+StatIndex = dict[CanonicalProperty, dict[tuple[str, ...], tuple[CanonicalClass, Interval]]]
+
+
 @dataclass(frozen=True)
 class ClosedKB:
     """The knowledge base after deductive closure.  Immutable.
+
+    Memberships are kept implicit: ``generators`` holds the atoms of each
+    individual's asserted membership classes, and ``tops`` their union, the
+    individual's most specific known class (U if it has none).  A class is a
+    known membership iff its atoms are the union of the generators inside
+    it, an O(k) test for k generators; :meth:`table_classes` lists all 2^k.
+
+    ``stat_index`` maps each property to the classes whose fused interval
+    for it is narrower than [0, 1] (atom tuple -> (class, interval));
+    ``point_index`` keeps the point-valued ones.  No other class can delete
+    a row, be deleted or win resolution, so queries read only these.  Both
+    are built on the first query, since the model finder, `check` and
+    `dump` never read them.
 
     ``subset_reach`` maps each asserted subclass to the asserted
     superclasses reachable from it by asserted hops joined by atom-superset
     steps.  Known inclusion is the composition of atom-superset steps with
     asserted hops, so this is all :meth:`subset_known` needs.
+
+    ``memberships``, ``universe``, ``subset_pairs`` and
+    ``subset_cycle_classes`` are views computed on first access too.
     """
 
     class_atoms: frozenset[str]
     property_atoms: frozenset[str]
     individuals: frozenset[str]
     statements: tuple[Statement, ...]
-    memberships: Mapping[str, frozenset[CanonicalClass]]
-    universe: frozenset[CanonicalClass]
+    generators: Mapping[str, tuple[tuple[str, ...], ...]]
+    tops: Mapping[str, CanonicalClass]
     subset_edges: frozenset[tuple[CanonicalClass, CanonicalClass]]
     subset_reach: Mapping[CanonicalClass, frozenset[CanonicalClass]]
-    subset_cycle_classes: frozenset[CanonicalClass]
     sentence_groups: Mapping[str, frozenset[str]]
     sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]]
     declared_forms: Mapping[str, tuple[CanonicalProperty, str]]
     stats: Mapping[tuple[tuple[str, ...], CanonicalProperty], Interval]
 
     def known_memberships(self, individual: str) -> frozenset[CanonicalClass]:
+        """U and every union of the individual's generators."""
+        return frozenset(self.table_classes(individual))
+
+    def table_classes(self, individual: str) -> tuple[CanonicalClass, ...]:
+        """The individual's known memberships in table order: most atoms
+        first, then by atoms, U last.  Up to 2^k classes for k generators,
+        computed on first ask per individual."""
         if individual not in self.individuals:
             raise DeclarationError(f"undeclared individual: {individual}")
-        return self.memberships[individual]
+        got = self._closures.get(individual)
+        if got is None:
+            ordered = sorted(tuple(sorted(atoms))
+                             for atoms in _union_closure(self.generators[individual]))
+            ordered.sort(key=len, reverse=True)  # stable: by atoms within a size
+            got = self._closures[individual] = tuple(map(CanonicalClass._from_sorted, ordered))
+        return got
+
+    @cached_property
+    def _closures(self) -> dict[str, tuple[CanonicalClass, ...]]:
+        return {}
+
+    @cached_property
+    def memberships(self) -> Mapping[str, frozenset[CanonicalClass]]:
+        """Every individual's known memberships."""
+        return {ind: self.known_memberships(ind) for ind in self.individuals}
+
+    @cached_property
+    def stat_index(self) -> StatIndex:
+        """Per property, the classes with a fused interval narrower than [0, 1]."""
+        index: StatIndex = {}
+        for (atoms, p), iv in self.stats.items():
+            if iv.lo != 0 or iv.hi != 1:
+                index.setdefault(p, {})[atoms] = (CanonicalClass._from_sorted(atoms), iv)
+        return index
+
+    @cached_property
+    def point_index(self) -> StatIndex:
+        """The point-valued entries of :attr:`stat_index`."""
+        index: StatIndex = {}
+        for p, entries in self.stat_index.items():
+            points = {atoms: entry for atoms, entry in entries.items() if entry[1].is_point}
+            if points:
+                index[p] = points
+        return index
+
+    @cached_property
+    def universe(self) -> frozenset[CanonicalClass]:
+        """The mentioned classes: U, every known membership, and the classes
+        of stats and asserted subsets."""
+        atom_sets = {frozenset()}
+        for gens in set(self.generators.values()):
+            atom_sets |= _union_closure(gens)
+        atom_sets.update(frozenset(s.cls.atoms) for s in self.statements if isinstance(s, Stat))
+        for sub, sup in self.subset_edges:
+            atom_sets.add(frozenset(sub.atoms))
+            atom_sets.add(frozenset(sup.atoms))
+        return frozenset(CanonicalClass._from_sorted(tuple(sorted(a))) for a in atom_sets)
+
+    @cached_property
+    def subset_cycle_classes(self) -> frozenset[CanonicalClass]:
+        """The classes of the universe on a subset cycle.
+
+        A class lies on a cycle iff an asserted subclass within it reaches
+        a superclass of it, so the universe is read only if some asserted
+        subclass reaches a superclass of itself.
+        """
+        cycles = [(set(sub.atoms), set(sup.atoms))
+                  for sub, reached in self.subset_reach.items()
+                  for sup in reached if set(sup.atoms).issuperset(sub.atoms)]
+        if not cycles:
+            return frozenset()
+        return frozenset(c for c in self.universe
+                         if any(sub.issubset(c.atoms) and sup.issuperset(c.atoms)
+                                for sub, sup in cycles))
 
     def subset_known(self, c1: CanonicalClass, c2: CanonicalClass) -> bool:
         """True iff `c1` is a known proper subclass of `c2`.
@@ -593,9 +693,21 @@ class ClosedKB:
         return UNIT
 
 
-def _classes_within(atoms: tuple[str, ...],
-                    by_atoms: Mapping[tuple[str, ...], CanonicalClass]) -> list[CanonicalClass]:
-    """The classes of `by_atoms` whose atoms are a subset of `atoms`."""
+def _covered(generators: Iterable[tuple[str, ...]], atoms: frozenset[str]) -> bool:
+    """True iff `atoms` is the union of the generators it includes."""
+    return frozenset().union(*[g for g in generators if atoms.issuperset(g)]) == atoms
+
+
+def _union_closure(generators: Iterable[tuple[str, ...]]) -> set[frozenset[str]]:
+    """The empty set (U) and every union of one or more generators."""
+    closed = {frozenset()}
+    for g in generators:
+        closed |= {c.union(g) for c in closed}
+    return closed
+
+
+def _classes_within(atoms: tuple[str, ...], by_atoms: Mapping[tuple[str, ...], T]) -> list[T]:
+    """The values of `by_atoms` whose atom keys are a subset of `atoms`."""
     if 1 << len(atoms) <= len(by_atoms):
         return [by_atoms[sub] for k in range(len(atoms) + 1)
                 for sub in itertools.combinations(atoms, k) if sub in by_atoms]
@@ -622,60 +734,34 @@ def _subset_reach(subsets: list[Subset]) -> dict[CanonicalClass, frozenset[Canon
 def close(builder: KBBuilder) -> ClosedKB:
     """Compute the deductive closure of the builder's contents.
 
-    Memberships are closed under intersection, asserted subset edges are
+    Memberships are kept as their generators (the closure under
+    intersection is implicit, see :class:`ClosedKB`), asserted subset edges are
     closed into their reach (structural inclusions are read off atom sets
     when asked), sentence labels are partitioned by their equivalence
     links, and statistical intervals are fused (direct assertions,
     complement reflections, the [0,1] default).  An empty fused interval
     raises InconsistencyError.
     """
-    # memberships: intersection closure per individual, plus U.  Equal
-    # classes are shared between individuals.
-    memberships = dict.fromkeys(builder.individuals, frozenset({UNIVERSAL}))
-    interned: dict[frozenset[str], CanonicalClass] = {}
+    # memberships: each individual's asserted generators and their union.
+    # Equal generator tuples and top classes are shared between individuals.
+    generators = dict.fromkeys(builder.individuals, ())
+    tops = dict.fromkeys(builder.individuals, UNIVERSAL)
+    shared: dict[tuple, tuple] = {}
+    top_classes: dict[frozenset[str], CanonicalClass] = {}
     by_individual = attrgetter("individual")
     for ind, group in itertools.groupby(sorted(builder.members, key=by_individual),
                                         key=by_individual):
-        generators = [frozenset(m.cls.atoms) for m in group]
-        closed = set(generators)
-        frontier = list(closed)
-        while frontier:
-            cur = frontier.pop()
-            for g in generators:
-                union = cur | g
-                if union not in closed:
-                    closed.add(union)
-                    frontier.append(union)
-        classes = {UNIVERSAL}
-        for atoms in closed:
-            cls = interned.get(atoms)
-            if cls is None:
-                cls = interned[atoms] = CanonicalClass(tuple(sorted(atoms)))
-            classes.add(cls)
-        memberships[ind] = frozenset(classes)
+        gens = tuple(m.cls.atoms for m in group)
+        generators[ind] = gens = shared.setdefault(gens, gens)
+        top = frozenset().union(*gens)
+        cls = top_classes.get(top)
+        if cls is None:
+            cls = top_classes[top] = CanonicalClass(tuple(sorted(top)))
+        tops[ind] = cls
 
-    # mentioned-class universe
-    universe: set[CanonicalClass] = {UNIVERSAL}
-    for ms in memberships.values():
-        universe |= ms
-    for s in builder.stats:
-        universe.add(s.cls)
+    # subset relation: the reach of asserted edges
     subsets = builder.subsets
-    for s in subsets:
-        universe.add(s.sub)
-        universe.add(s.sup)
-
-    # subset relation: the reach of asserted edges.  A class lies on a
-    # cycle iff an asserted subclass within it reaches a superclass of it.
     reach = _subset_reach(subsets)
-    cycle_classes: set[CanonicalClass] = set()
-    for sub, reached in reach.items():
-        for sup in reached:
-            if set(sup.atoms).issuperset(sub.atoms):
-                cycle_classes.update(
-                    c for c in universe
-                    if set(c.atoms).issuperset(sub.atoms) and set(sup.atoms).issuperset(c.atoms)
-                )
 
     # sentence partition (union-find over equivalence links)
     parent: dict[str, str] = {s: s for s in builder.sentence_forms}
@@ -742,11 +828,10 @@ def close(builder: KBBuilder) -> ClosedKB:
         property_atoms=frozenset(builder.property_atoms),
         individuals=frozenset(builder.individuals),
         statements=tuple(statements),
-        memberships=memberships,
-        universe=frozenset(universe),
+        generators=generators,
+        tops=tops,
         subset_edges=frozenset((s.sub, s.sup) for s in subsets),
         subset_reach=reach,
-        subset_cycle_classes=frozenset(cycle_classes),
         sentence_groups=sentence_groups,
         sentence_forms=sentence_forms,
         declared_forms=dict(builder.sentence_forms),

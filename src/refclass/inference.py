@@ -4,19 +4,24 @@ Point mode compares exact values over classes with point-valued statistics
 and may return no probability at all.  Interval mode runs the same pipeline
 over fused intervals (default [0,1]) and is total on formed sentences: the
 universal class row is never deleted because [0,1] includes every interval.
+Queries judge only the rows that can change the answer (see `_eval_form`);
+`explain` lists every known class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .core import (
+    UNIT,
+    UNIVERSAL,
     CanonicalClass,
     CanonicalProperty,
     ClosedKB,
     Interval,
-    UNIT,
+    _classes_within,
+    _covered,
 )
 
 # Undefined reasons
@@ -85,8 +90,25 @@ class ProbResult:
 
 def build_table(ckb: ClosedKB, individual: str, prop: CanonicalProperty) -> list[TableRow]:
     """One live row per known membership class, most specific first."""
-    classes = sorted(ckb.known_memberships(individual), key=CanonicalClass.sort_key)
-    return [TableRow(c, ckb.effective_interval(c, prop)) for c in classes]
+    return [TableRow(c, ckb.effective_interval(c, prop)) for c in ckb.table_classes(individual)]
+
+
+def _judge(ckb: ClosedKB, rows: list[TableRow]) -> list[TableRow]:
+    """The deletion loop over rows none of which is [0, 1], in table order.
+
+    A row is deleted iff it differs from another row without being a known
+    subclass of it; the first such row is its witness.
+    """
+    out: list[TableRow] = []
+    for row in rows:
+        for other in rows:
+            if other.cls != row.cls and differ(row.interval, other.interval) \
+                    and not ckb.subset_known(row.cls, other.cls):
+                out.append(TableRow(row.cls, row.interval, DELETED, other.cls))
+                break
+        else:
+            out.append(row)
+    return out
 
 
 def filter_rows(ckb: ClosedKB, rows: list[TableRow]) -> list[TableRow]:
@@ -96,21 +118,10 @@ def filter_rows(ckb: ClosedKB, rows: list[TableRow]) -> list[TableRow]:
     witness.  A [0,1] row includes every interval, so it never differs:
     it is kept without comparisons and is never a witness.
     """
-    competitors = [r for r in rows if r.interval != UNIT]
-    out: list[TableRow] = []
-    for row in rows:
-        witness = None
-        if row.interval != UNIT:
-            for other in competitors:
-                if other.cls == row.cls:
-                    continue
-                if differ(row.interval, other.interval) and not ckb.subset_known(row.cls, other.cls):
-                    witness = other.cls
-                    break
-        if witness is None:
-            out.append(row)
-        else:
-            out.append(TableRow(row.cls, row.interval, DELETED, witness))
+    out = list(rows)
+    active = [k for k, row in enumerate(rows) if row.interval != UNIT]
+    for k, row in zip(active, _judge(ckb, [rows[k] for k in active])):
+        out[k] = row
     return out
 
 
@@ -127,7 +138,9 @@ def resolve(rows: list[TableRow]) -> tuple[Interval, CanonicalClass]:
     """
     if not rows:
         raise ValueError("resolve requires at least one surviving row")
-    best = min(rows, key=lambda r: (-r.interval.lo, r.interval.hi, r.cls.sort_key()))
+    lo = max(r.interval.lo for r in rows)
+    best = min((r for r in rows if r.interval.lo == lo),
+               key=lambda r: (r.interval.hi, r.cls.sort_key()))
     return best.interval, best.cls
 
 
@@ -168,39 +181,66 @@ class Trace:
         }
 
 
-def _has_point_stat(ckb: ClosedKB, cls: CanonicalClass, prop: CanonicalProperty) -> bool:
-    if prop.is_tautology or prop.is_contradiction:
-        return True
-    iv = ckb.stats.get((cls.atoms, prop))
-    return iv is not None and iv.is_point
+def _stat_rows(ckb: ClosedKB, individual: str, top: CanonicalClass,
+               index: Optional[Mapping]) -> list[TableRow]:
+    """Rows for the indexed classes the individual is known to be in, in
+    table order."""
+    if not index:
+        return []
+    gens = ckb.generators[individual]
+    rows = [TableRow(cls, iv) for cls, iv in _classes_within(top.atoms, index)
+            if _covered(gens, frozenset(cls.atoms))]
+    rows.sort(key=lambda r: r.cls.sort_key())
+    return rows
 
 
-def _eval_form_point(ckb: ClosedKB, prop: CanonicalProperty, individual: str) -> FormTrace:
-    candidates = [
-        c for c in sorted(ckb.known_memberships(individual), key=CanonicalClass.sort_key)
-        if _has_point_stat(ckb, c, prop)
-    ]
-    if not candidates:
-        res = ProbResult.undefined(NO_MEMBERSHIP)
-        return FormTrace(prop, individual, (), res)
-    rows = [TableRow(c, ckb.effective_interval(c, prop)) for c in candidates]
-    filtered = filter_rows(ckb, rows)
-    live = survivors(filtered)
-    if not live:
+def _eval_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
+               point: bool) -> FormTrace:
+    """One form's sparse table and result.
+
+    The dense table has a row per known class, but a [0, 1] row never
+    differs, so it is never deleted, never a witness, and loses resolution
+    to any live row narrower than [0, 1].  The top class (the union of the
+    individual's generators) is never deleted either, since every other
+    known class is a proper atom-subset of it.  So only the classes with a
+    stat narrower than [0, 1] (point-valued in point mode) are rows; when
+    none of them survives, interval mode answers with the top class.  With
+    a tautology or a contradiction every known class has the pinned value,
+    and the table is the top class alone.
+    """
+    form = (prop, individual)
+    top = ckb.tops[individual]
+    if not prop.atoms:  # a tautology or a contradiction
+        row = TableRow(top, ckb.effective_interval(top, prop))
+        return FormTrace(prop, individual, (row,), ProbResult.of(row.interval, top, form))
+    index = (ckb.point_index if point else ckb.stat_index).get(prop)
+    rows = _stat_rows(ckb, individual, top, index)
+    if point and not rows:
+        return FormTrace(prop, individual, (), ProbResult.undefined(NO_MEMBERSHIP))
+    rows = tuple(_judge(ckb, rows))
+    live = survivors(rows)
+    if live:
+        res = ProbResult.of(*resolve(live), form)
+    elif point:
         res = ProbResult.undefined(ALL_ROWS_DELETED)
     else:
-        interval, selected = resolve(live)
-        res = ProbResult.of(interval, selected, (prop, individual))
-    return FormTrace(prop, individual, tuple(filtered), res)
+        res = ProbResult.of(UNIT, top, form)
+    return FormTrace(prop, individual, rows, res)
 
 
-def _eval_form_interval(ckb: ClosedKB, prop: CanonicalProperty, individual: str) -> FormTrace:
-    rows = build_table(ckb, individual, prop)
-    filtered = filter_rows(ckb, rows)
-    live = survivors(filtered)
-    interval, selected = resolve(live)
-    res = ProbResult.of(interval, selected, (prop, individual))
-    return FormTrace(prop, individual, tuple(filtered), res)
+def _padded(ckb: ClosedKB, ft: FormTrace, mode: str) -> FormTrace:
+    """The form's trace over the dense table: every known class in table
+    order, those left out of the sparse table as live rows."""
+    prop = ft.prop
+    if mode == "point" and prop.atoms:
+        return ft
+    # a class left out has [0, 1], or the pinned value of a tautology or a
+    # contradiction; U never carries a stat, so its interval is that value
+    left_out = ckb.effective_interval(UNIVERSAL, prop)
+    judged = {r.cls.atoms: r for r in ft.rows}
+    rows = tuple(judged.get(c.atoms) or TableRow(c, left_out)
+                 for c in ckb.table_classes(ft.individual))
+    return FormTrace(prop, ft.individual, rows, ft.result)
 
 
 def _combine_forms(form_traces: list[FormTrace]) -> ProbResult:
@@ -217,13 +257,15 @@ def _combine_forms(form_traces: list[FormTrace]) -> ProbResult:
     return ProbResult.undefined(NO_MEMBERSHIP)
 
 
-def _evaluate(ckb: ClosedKB, sentence: str, mode: str) -> Trace:
+def _evaluate(ckb: ClosedKB, sentence: str, mode: str, pad: bool = False) -> Trace:
     forms = ckb.sentence_forms.get(sentence)
     if not forms:
         res = ProbResult.undefined(NO_SENTENCE_FORM)
         return Trace(sentence, mode, (), res)
-    eval_form = _eval_form_point if mode == "point" else _eval_form_interval
-    form_traces = [eval_form(ckb, prop, ind) for prop, ind in forms]
+    point = mode == "point"
+    form_traces = [_eval_form(ckb, prop, ind, point) for prop, ind in forms]
+    if pad:
+        form_traces = [_padded(ckb, ft, mode) for ft in form_traces]
     return Trace(sentence, mode, tuple(form_traces), _combine_forms(form_traces))
 
 
@@ -238,7 +280,11 @@ def prob_interval(ckb: ClosedKB, sentence: str) -> ProbResult:
 
 
 def explain(ckb: ClosedKB, sentence: str, mode: str = "interval") -> Trace:
-    """Full evaluation trace: forms tried, tables, deletions, resolution."""
+    """Full evaluation trace: forms tried, tables, deletions, resolution.
+
+    The result comes from the sparse tables; each form's rows are listed
+    over every known class, as the dense table has them.
+    """
     if mode not in ("point", "interval"):
         raise ValueError(f"mode must be 'point' or 'interval', got {mode!r}")
-    return _evaluate(ckb, sentence, mode)
+    return _evaluate(ckb, sentence, mode, pad=True)

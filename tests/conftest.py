@@ -219,6 +219,78 @@ def random_arith_builder(rng: random.Random) -> rc.KBBuilder | None:
     return b
 
 
+def random_wide_builder(rng: random.Random) -> rc.KBBuilder | None:
+    """A builder with wide membership closures: 4-8 memberships per
+    individual (some multi-atom), individuals with none, stats on
+    generators, unions of them, the top class, classes outside the closure
+    and `in [0, 1]`, asserted subsets, and tautology and contradiction
+    sentences beside literals and conjunctions."""
+    b = rc.KBBuilder()
+    atoms = [f"c{i}" for i in range(rng.randint(6, 9))]
+    props = [f"p{i}" for i in range(rng.randint(1, 2))]
+    inds = [f"i{i}" for i in range(rng.randint(1, 3))]
+    for name in atoms:
+        b.declare_class(name)
+    for name in props:
+        b.declare_property(name)
+    for name in inds:
+        b.declare_individual(name)
+
+    def canon(group) -> rc.CanonicalClass:
+        return rc.CanonicalClass(tuple(sorted(set(group))))
+
+    values = [Fraction(k, 10) for k in range(11)]
+
+    def rand_interval() -> rc.Interval:
+        kind = rng.random()
+        if kind < 0.45:
+            return rc.Interval.point(rng.choice(values[1:-1]))
+        if kind < 0.9:
+            lo = rng.choice(values[:-1])
+            return rc.Interval(lo, rng.choice([v for v in values if v > lo]))
+        return rc.UNIT
+
+    try:
+        generators: dict[str, list[rc.CanonicalClass]] = {}
+        for ind in inds:
+            if ind != "i0" and rng.random() < 0.25:
+                continue  # no membership at all
+            gens = generators[ind] = []
+            for _ in range(rng.randint(4, 8)):
+                gens.append(canon(rng.sample(atoms, rng.choice([1, 1, 1, 2, 3]))))
+                b.assert_member(ind, gens[-1])
+        lits = [rc.canonicalize_property(rc.PropAtom(p)) for p in props]
+        lits += [p.negate() for p in lits]
+        for _ in range(rng.randint(3, 10)):
+            kind = rng.random()
+            if generators and kind < 0.75:
+                gens = generators[rng.choice(sorted(generators))]
+                if kind < 0.15:
+                    cls = canon(a for g in gens for a in g.atoms)  # the top class
+                else:
+                    cls = canon(a for g in rng.sample(gens, rng.randint(1, 2))
+                                for a in g.atoms)
+            else:
+                cls = canon(rng.sample(atoms, rng.randint(1, 2)))
+            b.assert_stat(cls, rng.choice(lits), rand_interval())
+        for _ in range(rng.randint(0, 2)):
+            i, j = sorted(rng.sample(range(len(atoms)), 2))
+            b.assert_subset(canon([atoms[i]]), canon([atoms[j]]))
+        p0 = rc.PropAtom(props[0])
+        exprs = [p0, rc.PropNot(p0), rc.PropNot(rc.PropAnd(p0, rc.PropNot(p0))),
+                 rc.PropAnd(p0, rc.PropNot(p0))]
+        if len(props) > 1:
+            exprs.append(rc.PropAnd(p0, rc.PropAtom(props[1])))
+        for k in range(rng.randint(2, 5)):
+            b.declare_sentence(f"S{k}", rc.canonicalize_property(rng.choice(exprs)),
+                               rng.choice(inds))
+        if rng.random() < 0.3:
+            b.assert_equiv("S0", "S1")
+    except rc.KBError:
+        return None
+    return b
+
+
 def random_sane_kbs(
     seed: int,
     count: int,
@@ -317,6 +389,45 @@ def oracle_filter(rows, subset_fn):
         if excused:
             keep.append(r.cls)
     return keep
+
+
+def oracle_evaluate(ckb: rc.ClosedKB, sentence: str, mode: str) -> rc.Trace:
+    """The dense evaluation the sparse tables replaced: per form,
+    `build_table` over every known class (point mode keeps the point-valued
+    rows), `filter_rows`, and resolution by the smallest
+    (-lo, hi, class sort key); forms combined as `prob_*` combines them."""
+    inf = rc.inference
+    forms = ckb.sentence_forms.get(sentence)
+    if not forms:
+        return rc.Trace(sentence, mode, (), rc.ProbResult.undefined(rc.NO_SENTENCE_FORM))
+    traces = []
+    for prop, ind in forms:
+        rows = rc.build_table(ckb, ind, prop)
+        if mode == "point":
+            rows = [r for r in rows if r.interval.is_point]
+        if not rows:
+            res = rc.ProbResult.undefined(rc.NO_MEMBERSHIP)
+        else:
+            rows = rc.filter_rows(ckb, rows)
+            live = rc.survivors(rows)
+            if live:
+                best = min(live, key=lambda r: (-r.interval.lo, r.interval.hi,
+                                                r.cls.sort_key()))
+                res = rc.ProbResult.of(best.interval, best.cls, (prop, ind))
+            else:
+                res = rc.ProbResult.undefined(rc.ALL_ROWS_DELETED)
+        traces.append(inf.FormTrace(prop, ind, tuple(rows), res))
+    defined = [t.result for t in traces if t.result.defined]
+    if defined:
+        if any(r.interval != defined[0].interval for r in defined):
+            res = rc.ProbResult.undefined(rc.CONFLICTING_EQUIVALENT_FORMS)
+        else:
+            res = defined[0]
+    elif any(t.result.reason == rc.ALL_ROWS_DELETED for t in traces):
+        res = rc.ProbResult.undefined(rc.ALL_ROWS_DELETED)
+    else:
+        res = rc.ProbResult.undefined(rc.NO_MEMBERSHIP)
+    return rc.Trace(sentence, mode, tuple(traces), res)
 
 
 def oracle_prop_table(expr, atoms: list[str]) -> frozenset[frozenset[str]]:

@@ -68,6 +68,16 @@ class TestFindModel:
         assert model is not None
         assert len(model.population) == 1
 
+    def test_models_hash_by_value(self, coin_kb):
+        first, again = rc.find_model(coin_kb, 4), rc.find_model(coin_kb, 4)
+        empty = rc.find_model(rc.KBBuilder().close(), 1)
+        assert first == again and hash(first) == hash(again)
+        assert len({first, again, empty}) == 2
+        assert isinstance(first.individual_map, dict)
+        moved = rc.FiniteModel(first.class_atoms, first.property_atoms,
+                               first.population, {"t14": 0, "x": 1})
+        assert moved != first
+
     def test_contradictory_points_unreachable(self):
         # build the contradictory pair without the close-time fusion gate,
         # so the finder is exercised as an independent oracle
