@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, TypeVar, Union
+from typing import Container, Iterable, Mapping, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -41,6 +41,12 @@ class InconsistencyError(KBError):
         super().__init__(
             f"empty statistical interval for %({cls}, {prop.describe()})"
         )
+
+
+def _check_declared(kind: str, name: str, declared: Container[str]) -> None:
+    """The one check, and message, for a name used before its declaration."""
+    if name not in declared:
+        raise DeclarationError(f"undeclared {kind}: {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +115,7 @@ class CanonicalProperty:
 
     @property
     def is_tautology(self) -> bool:
-        return not self.atoms and self.rows
+        return not self.atoms and bool(self.rows)
 
     @property
     def is_contradiction(self) -> bool:
@@ -230,8 +236,8 @@ def canonicalize_class(expr: ClassExpr, declared: Optional[set[str]] = None) -> 
 
     def walk(e: ClassExpr):
         if isinstance(e, ClassAtom):
-            if declared is not None and e.name not in declared:
-                raise DeclarationError(f"undeclared class atom: {e.name}")
+            if declared is not None:
+                _check_declared("class", e.name, declared)
             atoms.add(e.name)
         elif isinstance(e, ClassAnd):
             walk(e.left)
@@ -240,8 +246,6 @@ def canonicalize_class(expr: ClassExpr, declared: Optional[set[str]] = None) -> 
             raise ValidationError(f"not a class expression: {e!r}")
 
     walk(expr)
-    if not atoms:
-        raise ValidationError("empty class expression")
     return CanonicalClass(tuple(sorted(atoms)))
 
 
@@ -251,8 +255,8 @@ def canonicalize_property(expr: PropExpr, declared: Optional[set[str]] = None) -
 
     def collect(e: PropExpr):
         if isinstance(e, PropAtom):
-            if declared is not None and e.name not in declared:
-                raise DeclarationError(f"undeclared property atom: {e.name}")
+            if declared is not None:
+                _check_declared("property", e.name, declared)
             mentioned.add(e.name)
         elif isinstance(e, PropNot):
             collect(e.arg)
@@ -294,7 +298,7 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if not (0 <= lo <= hi <= 1):
-            raise ValidationError(f"invalid interval [{lo}, {hi}]")
+            raise ValidationError(f"malformed interval [{lo}, {hi}]")
 
     @classmethod
     def point(cls, x) -> "Interval":
@@ -355,7 +359,7 @@ class Subset:
 
     def __post_init__(self):
         if self.sub == self.sup:
-            raise ValidationError(f"subset statement with sub = super: {self.sub}")
+            raise ValidationError(f"subset statement with identical classes: {self.sub}")
 
 
 @dataclass(frozen=True)
@@ -428,8 +432,8 @@ class KBBuilder:
         instead).
         """
         _check_identifier(label)
-        if individual not in self.individuals:
-            raise DeclarationError(f"undeclared individual: {individual}")
+        self._require_property(prop)
+        _check_declared("individual", individual, self.individuals)
         existing = self.sentence_forms.get(label)
         if existing is not None:
             if existing != (prop, individual):
@@ -445,12 +449,12 @@ class KBBuilder:
     def assert_stat(self, cls: CanonicalClass, prop: CanonicalProperty,
                     interval: Interval) -> None:
         self._require_class(cls)
+        self._require_property(prop)
         s = Stat(cls, prop, interval)
         self._stats[(cls.atoms, prop.sort_key(), interval.lo, interval.hi)] = s
 
     def assert_member(self, individual: str, cls: CanonicalClass) -> None:
-        if individual not in self.individuals:
-            raise DeclarationError(f"undeclared individual: {individual}")
+        _check_declared("individual", individual, self.individuals)
         self._require_class(cls)
         self._members[(individual, cls.atoms)] = Member(individual, cls)
 
@@ -462,8 +466,7 @@ class KBBuilder:
 
     def assert_equiv(self, s1: str, s2: str) -> None:
         for label in (s1, s2):
-            if label not in self.sentence_forms:
-                raise DeclarationError(f"undeclared sentence: {label}")
+            _check_declared("sentence", label, self.sentence_forms)
         key = tuple(sorted((s1, s2)))
         self._equivs[key] = SentenceEquiv(*key)
 
@@ -484,9 +487,12 @@ class KBBuilder:
     def _require_class(self, cls: CanonicalClass) -> None:
         if cls.is_universal:
             raise ValidationError("the universal class cannot appear in assertions")
-        missing = set(cls.atoms) - self.class_atoms
-        if missing:
-            raise DeclarationError(f"undeclared class atom: {sorted(missing)[0]}")
+        for atom in cls.atoms:
+            _check_declared("class", atom, self.class_atoms)
+
+    def _require_property(self, prop: CanonicalProperty) -> None:
+        for atom in prop.atoms:
+            _check_declared("property", atom, self.property_atoms)
 
     # -- views used by close() and the DSL renderer --------------------
 
@@ -572,8 +578,7 @@ class ClosedKB:
         """The individual's known memberships in table order: most atoms
         first, then by atoms, U last.  Up to 2^k classes for k generators,
         computed on first ask per individual."""
-        if individual not in self.individuals:
-            raise DeclarationError(f"undeclared individual: {individual}")
+        _check_declared("individual", individual, self.individuals)
         got = self._closures.get(individual)
         if got is None:
             ordered = sorted(tuple(sorted(atoms))

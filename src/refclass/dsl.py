@@ -13,8 +13,12 @@ Grammar (one declaration/statement per line; `#` starts a comment):
     propexpr  := unary ("&" unary)*;  unary := "!" unary | "(" propexpr ")" | ID
 
 Numbers are decimals in [0,1], parsed to exact rationals.  Identifiers are
-``[A-Za-z_][A-Za-z0-9_]*``; keywords and the universal class name ``U`` are
-reserved.
+``[A-Za-z_][A-Za-z0-9_]*`` other than the keywords; ``U`` names the universal
+class, so no class can be declared with that name.
+
+The DSL checks syntax and number ranges, and that a sentence label is declared
+once.  Every other rule, and its message, belongs to :mod:`refclass.core`; the
+parser calls it at the token it applies to.
 """
 
 from __future__ import annotations
@@ -25,19 +29,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    UNIVERSAL_NAME,
     CanonicalClass,
     CanonicalProperty,
-    ClassAnd,
-    ClassAtom,
     Interval,
     KBBuilder,
     KBError,
     PropAnd,
     PropAtom,
     PropNot,
-    canonicalize_class,
     canonicalize_property,
+    _check_declared,
 )
 
 KEYWORDS = {
@@ -117,6 +118,12 @@ class _LineParser:
         self.pos += 1
         return tok
 
+    def accept(self, sym: str) -> bool:
+        if self.cur.kind == "sym" and self.cur.text == sym:
+            self.pos += 1
+            return True
+        return False
+
     def expect_sym(self, sym: str) -> Token:
         if self.cur.kind != "sym" or self.cur.text != sym:
             raise self.error(f"expected {sym!r}, found {self.cur.text or 'end of line'!r}")
@@ -145,54 +152,54 @@ class _LineParser:
             raise self.error(f"number {tok.text} outside [0, 1]", tok)
         return value
 
+    def at(self, tok: Token, call, *args):
+        """Run a builder or core call; its KBError becomes a DslError at `tok`."""
+        try:
+            return call(*args)
+        except KBError as e:
+            raise self.error(str(e), tok) from e
+
+    def declared_id(self, what: str, kind: str, names) -> str:
+        tok = self.expect_id(what)
+        self.at(tok, _check_declared, kind, tok.text, names)
+        return tok.text
+
     # -- grammar --------------------------------------------------------
 
     def class_expr(self) -> CanonicalClass:
-        tok = self.expect_id("class atom")
-        self._check_declared_class(tok)
-        expr = ClassAtom(tok.text)
-        while self.cur.kind == "sym" and self.cur.text == "&":
-            self.advance()
-            tok = self.expect_id("class atom")
-            self._check_declared_class(tok)
-            expr = ClassAnd(expr, ClassAtom(tok.text))
-        return canonicalize_class(expr, self.builder.class_atoms)
-
-    def _check_declared_class(self, tok: Token) -> None:
-        if tok.text not in self.builder.class_atoms:
-            raise self.error(f"undeclared class: {tok.text}", tok)
+        atoms = {self.declared_id("class atom", "class", self.builder.class_atoms)}
+        while self.accept("&"):
+            atoms.add(self.declared_id("class atom", "class", self.builder.class_atoms))
+        return CanonicalClass(tuple(sorted(atoms)))
 
     def prop_expr(self) -> CanonicalProperty:
-        expr = self._prop_unary()
-        while self.cur.kind == "sym" and self.cur.text == "&":
-            self.advance()
-            expr = PropAnd(expr, self._prop_unary())
-        return canonicalize_property(expr, self.builder.property_atoms)
-
-    def _prop_unary(self):
-        if self.cur.kind == "sym" and self.cur.text == "!":
-            self.advance()
-            return PropNot(self._prop_unary())
-        if self.cur.kind == "sym" and self.cur.text == "(":
-            self.advance()
-            inner = self._prop_tree()
-            self.expect_sym(")")
-            return inner
-        tok = self.expect_id("property atom")
-        if tok.text not in self.builder.property_atoms:
-            raise self.error(f"undeclared property: {tok.text}", tok)
-        return PropAtom(tok.text)
+        return canonicalize_property(self._prop_tree())
 
     def _prop_tree(self):
         expr = self._prop_unary()
-        while self.cur.kind == "sym" and self.cur.text == "&":
-            self.advance()
+        while self.accept("&"):
             expr = PropAnd(expr, self._prop_unary())
         return expr
 
+    def _prop_unary(self):
+        if self.accept("!"):
+            return PropNot(self._prop_unary())
+        if self.accept("("):
+            inner = self._prop_tree()
+            self.expect_sym(")")
+            return inner
+        return PropAtom(self.declared_id("property atom", "property", self.builder.property_atoms))
+
+    def sentence_form(self) -> tuple[CanonicalProperty, str]:
+        """``propexpr "(" individual ")"``, in declarations and in queries."""
+        prop = self.prop_expr()
+        self.expect_sym("(")
+        ind = self.declared_id("individual", "individual", self.builder.individuals)
+        self.expect_sym(")")
+        return prop, ind
+
     def interval_expr(self) -> Interval:
-        if self.cur.kind == "sym" and self.cur.text == "=":
-            self.advance()
+        if self.accept("="):
             value = self.expect_num()
             return Interval(value, value)
         if self.cur.kind == "id" and self.cur.text == "in":
@@ -203,9 +210,7 @@ class _LineParser:
             self.expect_sym(",")
             hi = self.expect_num()
             self.expect_sym("]")
-            if lo > hi:
-                raise self.error(f"malformed interval [{lo}, {hi}]", start)
-            return Interval(lo, hi)
+            return self.at(start, Interval, lo, hi)
         raise self.error(f"expected '=' or 'in', found {self.cur.text or 'end of line'!r}")
 
     # -- line dispatch ----------------------------------------------------
@@ -234,36 +239,23 @@ class _LineParser:
 
     def _decl_class(self) -> None:
         tok = self.expect_id("class name")
-        if tok.text == UNIVERSAL_NAME:
-            raise self.error(f"class name {UNIVERSAL_NAME!r} is reserved", tok)
-        if tok.text in self.builder.class_atoms:
-            raise self.error(f"duplicate class declaration: {tok.text}", tok)
-        self.builder.declare_class(tok.text)
+        self.at(tok, self.builder.declare_class, tok.text)
 
     def _decl_property(self) -> None:
         tok = self.expect_id("property name")
-        if tok.text in self.builder.property_atoms:
-            raise self.error(f"duplicate property declaration: {tok.text}", tok)
-        self.builder.declare_property(tok.text)
+        self.at(tok, self.builder.declare_property, tok.text)
 
     def _decl_individual(self) -> None:
         tok = self.expect_id("individual name")
-        if tok.text in self.builder.individuals:
-            raise self.error(f"duplicate individual declaration: {tok.text}", tok)
-        self.builder.declare_individual(tok.text)
+        self.at(tok, self.builder.declare_individual, tok.text)
 
     def _decl_sentence(self) -> None:
+        # Stricter than the builder, which accepts an identical re-declaration.
         label = self.expect_id("sentence label")
         if label.text in self.builder.sentence_forms:
             raise self.error(f"duplicate sentence declaration: {label.text}", label)
         self.expect_keyword("iff")
-        prop = self.prop_expr()
-        self.expect_sym("(")
-        ind = self.expect_id("individual")
-        if ind.text not in self.builder.individuals:
-            raise self.error(f"undeclared individual: {ind.text}", ind)
-        self.expect_sym(")")
-        self.builder.declare_sentence(label.text, prop, ind.text)
+        self.builder.declare_sentence(label.text, *self.sentence_form())
 
     def _stmt_stat(self) -> None:
         self.expect_sym("%")
@@ -272,32 +264,53 @@ class _LineParser:
         self.expect_sym(",")
         prop = self.prop_expr()
         self.expect_sym(")")
-        interval = self.interval_expr()
-        self.builder.assert_stat(cls, prop, interval)
+        self.builder.assert_stat(cls, prop, self.interval_expr())
 
     def _stmt_member(self) -> None:
-        ind = self.expect_id("individual")
-        if ind.text not in self.builder.individuals:
-            raise self.error(f"undeclared individual: {ind.text}", ind)
+        ind = self.declared_id("individual", "individual", self.builder.individuals)
         self.expect_keyword("in")
-        cls = self.class_expr()
-        self.builder.assert_member(ind.text, cls)
+        self.builder.assert_member(ind, self.class_expr())
 
     def _stmt_subset(self) -> None:
         sub = self.class_expr()
         self.expect_sym("<")
         sup = self.class_expr()
-        if sub == sup:
-            raise self.error(f"subset statement with identical classes: {sub}")
-        self.builder.assert_subset(sub, sup)
+        self.at(self.cur, self.builder.assert_subset, sub, sup)
 
     def _stmt_equiv(self) -> None:
         a = self.expect_id("sentence label")
         b = self.expect_id("sentence label")
         for tok in (a, b):
-            if tok.text not in self.builder.sentence_forms:
-                raise self.error(f"undeclared sentence: {tok.text}", tok)
+            self.at(tok, _check_declared, "sentence", tok.text, self.builder.sentence_forms)
         self.builder.assert_equiv(a.text, b.text)
+
+    def query(self) -> str:
+        if (self.cur.kind == "id" and self.cur.text not in KEYWORDS
+                and self.tokens[1].kind == "eol"):
+            tok = self.advance()
+            self.at(tok, _check_declared, "sentence", tok.text, self.builder.sentence_forms)
+            return tok.text
+        form = self.sentence_form()
+        self.expect_eol()
+        label = self.builder.query_sentences.get(form)
+        if label is None:
+            k = len(self.builder.query_sentences)
+            while f"{QUERY_PREFIX}{k}" in self.builder.sentence_forms:
+                k += 1
+            label = f"{QUERY_PREFIX}{k}"
+            self.builder.declare_sentence(label, *form)
+            self.builder.query_sentences[form] = label
+        return label
+
+
+def _parse(text: str, line_no: int, builder: KBBuilder, rule):
+    """Apply a grammar rule to one line.  Nesting too deep for the
+    interpreter's stack is reported at the line instead of escaping."""
+    parser = _LineParser(_tokenize_line(text, line_no), builder)
+    try:
+        return rule(parser)
+    except RecursionError:
+        raise DslError("expression nested too deeply", line_no, 1) from None
 
 
 def parse_kb(text: str) -> KBBuilder:
@@ -307,8 +320,7 @@ def parse_kb(text: str) -> KBBuilder:
     errors: list[DslError] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         try:
-            tokens = _tokenize_line(line, line_no)
-            _LineParser(tokens, builder).parse_line()
+            _parse(line, line_no, builder, _LineParser.parse_line)
         except DslError as e:
             errors.append(e)
         except KBError as e:
@@ -328,31 +340,7 @@ def parse_query(text: str, builder: KBBuilder) -> str:
     ``heads(t14)`` declares (or reuses) an anonymous sentence for that
     canonical form.
     """
-    tokens = _tokenize_line(text.strip(), 1)
-    parser = _LineParser(tokens, builder)
-    if (parser.cur.kind == "id" and parser.cur.text not in KEYWORDS
-            and parser.tokens[1].kind == "eol"):
-        label = parser.advance().text
-        if label not in builder.sentence_forms:
-            raise DslError(f"undeclared sentence: {label}", 1, tokens[0].column)
-        return label
-    prop = parser.prop_expr()
-    parser.expect_sym("(")
-    ind = parser.expect_id("individual")
-    if ind.text not in builder.individuals:
-        raise parser.error(f"undeclared individual: {ind.text}", ind)
-    parser.expect_sym(")")
-    parser.expect_eol()
-    form = (prop, ind.text)
-    label = builder.query_sentences.get(form)
-    if label is None:
-        k = len(builder.query_sentences)
-        while f"{QUERY_PREFIX}{k}" in builder.sentence_forms:
-            k += 1
-        label = f"{QUERY_PREFIX}{k}"
-        builder.declare_sentence(label, prop, ind.text)
-        builder.query_sentences[form] = label
-    return label
+    return _parse(text.strip(), 1, builder, _LineParser.query)
 
 
 # ---------------------------------------------------------------------------

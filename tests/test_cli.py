@@ -117,12 +117,26 @@ class TestEval:
         run(["eval", path, "--query", "S14", "--json", "--trace"])
         assert capsys.readouterr().out == first
 
+    def test_deep_query_nesting(self, kb_file, capsys):
+        code = run(["eval", kb_file(COIN), "--query", "!" * 5000 + "heads(t14)"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "query error: line 1, column 1: expression nested too deeply\n")
+
     def test_unknown_query_sentence(self, kb_file, capsys):
         code = run(["eval", kb_file(COIN), "--query", "S99"])
         assert code == 1
 
 
 class TestCheck:
+    def test_deep_nesting_is_a_diagnostic(self, kb_file, capsys):
+        deep = "(" * 5000 + "p" + ")" * 5000
+        path = kb_file(f"class r\nproperty p\nstat %(r, {deep}) = 0.5\nstat %(r, {'!' * 5000}p) = 0.5\n")
+        assert run(["check", path]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"{path}:3:1: expression nested too deeply\n"
+                       f"{path}:4:1: expression nested too deeply\n")
+
     def test_sanity_pass(self, kb_file, capsys):
         assert run(["check", kb_file(COIN)]) == 0
 

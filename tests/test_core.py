@@ -35,7 +35,7 @@ class TestCanonicalizeClass:
         assert rc.canonicalize_class(expr) == cls("a", "b", "c")
 
     def test_undeclared_atom(self):
-        with pytest.raises(rc.DeclarationError, match="zebra"):
+        with pytest.raises(rc.DeclarationError, match="^undeclared class: zebra$"):
             rc.canonicalize_class(rc.ClassAtom("zebra"), declared={"a"})
 
     def test_intersection_properties(self):
@@ -76,6 +76,14 @@ class TestCanonicalizeProperty:
         )
         assert rc.canonicalize_property(expr) == prop("a")
 
+    def test_predicates_are_bools(self):
+        assert rc.TAUTOLOGY.is_tautology is True
+        assert rc.TAUTOLOGY.is_contradiction is False
+        assert rc.CONTRADICTION.is_contradiction is True
+        assert rc.CONTRADICTION.is_tautology is False
+        assert prop("a").is_tautology is False
+        assert prop("a").is_contradiction is False
+
     def test_negation_involution(self):
         p = rc.canonicalize_property(
             rc.PropAnd(rc.PropAtom("a"), rc.PropNot(rc.PropAtom("b")))
@@ -83,13 +91,13 @@ class TestCanonicalizeProperty:
         assert p.negate().negate() == p
 
     def test_undeclared_atom(self):
-        with pytest.raises(rc.DeclarationError, match="q"):
+        with pytest.raises(rc.DeclarationError, match="^undeclared property: q$"):
             rc.canonicalize_property(rc.PropAtom("q"), declared={"p"})
 
 
 class TestInterval:
     def test_validation(self):
-        with pytest.raises(rc.ValidationError):
+        with pytest.raises(rc.ValidationError, match=r"^malformed interval \[7/10, 1/5\]$"):
             rc.Interval(Fraction(7, 10), Fraction(2, 10))
         with pytest.raises(rc.ValidationError):
             rc.Interval(Fraction(-1, 10), Fraction(1, 2))
@@ -134,8 +142,30 @@ class TestAssert:
 
     def test_subset_self_rejected(self):
         b = coin_builder()
-        with pytest.raises(rc.ValidationError):
+        with pytest.raises(rc.ValidationError,
+                           match="^subset statement with identical classes: tosses$"):
             b.assert_subset(cls("tosses"), cls("tosses"))
+
+    def test_undeclared_property_rejected(self):
+        b = rc.KBBuilder()
+        b.declare_class("r")
+        b.declare_individual("i")
+        with pytest.raises(rc.DeclarationError, match="^undeclared property: zz$"):
+            b.assert_stat(cls("r"), prop("zz"), rc.Interval.point(Fraction(1, 2)))
+        with pytest.raises(rc.DeclarationError, match="^undeclared property: zz$"):
+            b.declare_sentence("S", prop("zz").negate(), "i")
+        assert not b.stats and not b.sentence_forms
+        b.assert_member("i", cls("r"))
+        assert rc.render(b) == "class r\nindividual i\nmember i in r\n"
+
+    def test_undeclared_names_rejected(self):
+        b = coin_builder()
+        with pytest.raises(rc.DeclarationError, match="^undeclared class: zz$"):
+            b.assert_member("t14", cls("tosses", "zz"))
+        with pytest.raises(rc.DeclarationError, match="^undeclared individual: zz$"):
+            b.assert_member("zz", cls("tosses"))
+        with pytest.raises(rc.DeclarationError, match="^undeclared sentence: zz$"):
+            b.assert_equiv("S14", "zz")
 
     def test_universal_not_assertable(self):
         b = coin_builder()

@@ -1,11 +1,20 @@
 """DSL: parsing, diagnostics, queries, rendering, round-trips."""
 
+import glob
+import json
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refclass as rc
 from conftest import closure_signature, coin_builder
+from refclass.dsl import KEYWORDS
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = os.path.join(ROOT, "tests", "fixtures")
 
 COIN_TEXT = """\
 # a fair coin
@@ -157,17 +166,24 @@ class TestRender:
         assert rc.render(rc.KBBuilder()) == ""
 
     def test_roundtrip_closure(self):
-        text = (
+        texts = {"inline": (
             "class a\nclass b\nproperty p\nproperty q\nindividual i\n"
             "sentence S iff !(p & !q)(i)\n"
             "stat %(a & b, p) in [0.25, 0.75]\n"
             "stat %(a, !p) = 0.3\n"
             "member i in a\nmember i in b\n"
             "subset a < b\n"
-        )
-        b1 = rc.parse_kb(text)
-        b2 = rc.parse_kb(rc.render(b1))
-        assert closure_signature(b1.close()) == closure_signature(b2.close())
+        )}
+        paths = glob.glob(os.path.join(ROOT, "kbs", "*.rck")) + glob.glob(
+            os.path.join(FIXTURES, "*.rck"))
+        assert len(paths) >= 6
+        for path in sorted(paths):
+            with open(path, encoding="utf-8") as fh:
+                texts[os.path.relpath(path, ROOT)] = fh.read()
+        for name, text in texts.items():
+            b1 = rc.parse_kb(text)
+            b2 = rc.parse_kb(rc.render(b1))
+            assert closure_signature(b1.close()) == closure_signature(b2.close()), name
 
     def test_render_parse_render_fixpoint(self):
         text = COIN_TEXT
@@ -186,3 +202,120 @@ class TestRender:
         b.assert_stat(cls("r"), prop("p"), rc.Interval.point(Fraction(1, 3)))
         with pytest.raises(ValueError, match="decimal"):
             rc.render(b)
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics pinned from the engine whose DSL repeated the builder's checks
+# ---------------------------------------------------------------------------
+
+with open(os.path.join(FIXTURES, "dsl_errors.json"), encoding="utf-8") as fh:
+    PINNED = json.load(fh)
+
+
+def _errors(text):
+    with pytest.raises(rc.ParseFailure) as exc:
+        rc.parse_kb(text)
+    return [[e.message, e.line, e.column] for e in exc.value.errors]
+
+
+@pytest.mark.parametrize("line", sorted(PINNED["lines"]))
+def test_pinned_line_errors(line):
+    """One bad line after a header that declares a, b, p, q, i and S."""
+    assert _errors(PINNED["header"] + line + "\n") == PINNED["lines"][line]
+
+
+@pytest.mark.parametrize("text", sorted(PINNED["documents"]))
+def test_pinned_document_errors(text):
+    assert _errors(text) == PINNED["documents"][text]
+
+
+@pytest.mark.parametrize("query", sorted(PINNED["queries"]))
+def test_pinned_query_errors(query):
+    builder = rc.parse_kb(PINNED["header"])
+    with pytest.raises(rc.DslError) as exc:
+        rc.parse_query(query, builder)
+    e = exc.value
+    assert [e.message, e.line, e.column] == PINNED["queries"][query]
+
+
+# ---------------------------------------------------------------------------
+# Nesting deeper than the interpreter's stack
+# ---------------------------------------------------------------------------
+
+DEEP = 5000
+DEEP_PROPERTIES = {
+    "negation": "!" * DEEP + "p",
+    "parentheses": "(" * DEEP + "p" + ")" * DEEP,
+    "conjunction": " & ".join(["p"] * DEEP),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_PROPERTIES))
+def test_deep_nesting_reported_at_its_line(kind):
+    text = (
+        "class r\nproperty p\nindividual i\n"
+        f"stat %(r, {DEEP_PROPERTIES[kind]}) = 0.5\n"
+        "stat %(r, zz) = 0.5\n"
+        f"sentence S iff {DEEP_PROPERTIES[kind]}(i)\n"
+    )
+    assert _errors(text) == [
+        ["expression nested too deeply", 4, 1],
+        ["undeclared property: zz", 5, 11],
+        ["expression nested too deeply", 6, 1],
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_PROPERTIES))
+def test_deep_query_nesting_is_a_dsl_error(kind):
+    builder = rc.parse_kb("property p\nindividual i\n")
+    with pytest.raises(rc.DslError) as exc:
+        rc.parse_query(f"{DEEP_PROPERTIES[kind]}(i)", builder)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        "expression nested too deeply", 1, 1)
+
+
+def test_long_class_intersection_parses():
+    b = rc.parse_kb("class a\nindividual i\nmember i in " + " & ".join(["a"] * DEEP) + "\n")
+    [m] = b.members
+    assert m.cls == cls("a")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every input is accepted or reported, nothing else escapes
+# ---------------------------------------------------------------------------
+
+FUZZ_HEADER = "class a\nclass b\nproperty p\nproperty q\nindividual i\nsentence S iff p(i)\n"
+FUZZ_TOKENS = sorted(KEYWORDS) + [
+    "%", "(", ")", "[", "]", ",", "=", "<", "&", "!", "#", "$",
+    "0", "1", "0.5", ".25", "1.5", "10",
+    "U", "a", "b", "p", "q", "i", "S",  # declared in FUZZ_HEADER (U is reserved)
+    "zz", "T", "j",  # undeclared
+]
+
+
+def token_soup(newlines=True):
+    tokens = FUZZ_TOKENS + ["\n"] * newlines
+    return st.lists(st.sampled_from(tokens), max_size=30).map(" ".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), token_soup()))
+def test_fuzz_parse_kb(text):
+    for document in (text, FUZZ_HEADER + text):
+        try:
+            builder = rc.parse_kb(document)
+        except rc.ParseFailure as e:
+            assert e.errors and all(isinstance(err, rc.DslError) for err in e.errors)
+        else:
+            assert isinstance(builder, rc.KBBuilder)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), token_soup(newlines=False)))
+def test_fuzz_parse_query(query):
+    builder = rc.parse_kb(FUZZ_HEADER)
+    try:
+        label = rc.parse_query(query, builder)
+    except rc.KBError:
+        return
+    assert label in builder.sentence_forms
