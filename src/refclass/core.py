@@ -11,6 +11,7 @@ against the closed form.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -230,27 +231,30 @@ class PropAnd:
 PropExpr = Union[PropAtom, PropNot, PropAnd]
 
 
+_TOO_DEEP = "expression nested too deeply"
+
+
 def canonicalize_class(expr: ClassExpr, declared: Optional[set[str]] = None) -> CanonicalClass:
     """Flatten an intersection tree into a sorted atom set."""
     atoms: set[str] = set()
-
-    def walk(e: ClassExpr):
+    stack = [expr]
+    while stack:  # left to right, so the first undeclared atom is reported
+        e = stack.pop()
         if isinstance(e, ClassAtom):
             if declared is not None:
                 _check_declared("class", e.name, declared)
             atoms.add(e.name)
         elif isinstance(e, ClassAnd):
-            walk(e.left)
-            walk(e.right)
+            stack += (e.right, e.left)
         else:
             raise ValidationError(f"not a class expression: {e!r}")
-
-    walk(expr)
     return CanonicalClass(tuple(sorted(atoms)))
 
 
 def canonicalize_property(expr: PropExpr, declared: Optional[set[str]] = None) -> CanonicalProperty:
-    """Canonicalize a !/& formula to its reduced truth table."""
+    """Canonicalize a !/& formula to its reduced truth table.
+
+    A tree too deep for the interpreter's stack raises ValidationError."""
     mentioned: set[str] = set()
 
     def collect(e: PropExpr):
@@ -266,10 +270,6 @@ def canonicalize_property(expr: PropExpr, declared: Optional[set[str]] = None) -
         else:
             raise ValidationError(f"not a property expression: {e!r}")
 
-    collect(expr)
-    atoms = tuple(sorted(mentioned))
-    idx = {a: i for i, a in enumerate(atoms)}
-
     def ev(e: PropExpr, mask: int) -> bool:
         if isinstance(e, PropAtom):
             return bool(mask >> idx[e.name] & 1)
@@ -277,7 +277,13 @@ def canonicalize_property(expr: PropExpr, declared: Optional[set[str]] = None) -
             return not ev(e.arg, mask)
         return ev(e.left, mask) and ev(e.right, mask)
 
-    rows = frozenset(m for m in range(1 << len(atoms)) if ev(expr, m))
+    try:
+        collect(expr)
+        atoms = tuple(sorted(mentioned))
+        idx = {a: i for i, a in enumerate(atoms)}
+        rows = frozenset(m for m in range(1 << len(atoms)) if ev(expr, m))
+    except RecursionError:
+        raise ValidationError(_TOO_DEEP) from None
     return _reduced_property(atoms, rows)
 
 
@@ -516,10 +522,21 @@ class KBBuilder:
         return close(self)
 
 
+# The DSL's reserved words, which no declared name may be.
+KEYWORDS = frozenset({
+    "class", "property", "individual", "sentence", "iff",
+    "stat", "member", "in", "subset", "equiv",
+})
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def _check_identifier(name: str) -> None:
-    if not name or not (name[0].isalpha() or name[0] == "_") \
-            or not all(c.isalnum() or c == "_" for c in name):
+    """A declared name is one the DSL reads back as a name."""
+    if not name or _IDENTIFIER.fullmatch(name) is None:
         raise DeclarationError(f"invalid identifier: {name!r}")
+    if name in KEYWORDS:
+        raise DeclarationError(f"identifier {name!r} is a keyword")
 
 
 # ---------------------------------------------------------------------------

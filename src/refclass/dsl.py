@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    KEYWORDS,
     CanonicalClass,
     CanonicalProperty,
     Interval,
@@ -38,20 +39,19 @@ from .core import (
     PropAtom,
     PropNot,
     canonicalize_property,
+    _TOO_DEEP,
     _check_declared,
 )
 
-KEYWORDS = {
-    "class", "property", "individual", "sentence", "iff",
-    "stat", "member", "in", "subset", "equiv",
-}
+_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # the line boundaries of str.splitlines
 
+# Whitespace and comments match without a group, so their `lastgroup` is None.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#.*)"
+    rf"(?P<eol>\r\n|[{_BREAKS}])|[^\S{_BREAKS}]+|#[^{_BREAKS}]*"
     r"|(?P<num>\d+\.\d+|\.\d+|\d+)"
     r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>%|\(|\)|\[|\]|,|=|<|&|!)"
+    r"|(?P<sym>[%()\[\],=<&!])"
+    r"|(?P<bad>.)"
 )
 
 
@@ -73,41 +73,58 @@ class ParseFailure(KBError):
         super().__init__("; ".join(str(e) for e in errors))
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'num' | 'id' | 'sym' | 'eol'
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")  # kind: 'num' | 'id' | 'sym' | 'eol' | 'bad'
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind, self.text, self.line, self.column = kind, text, line, column
 
 
-def _tokenize_line(text: str, line_no: int) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        pos = m.end()
+def _lines(text: str):
+    """Yield each line's tokens, ending in an 'eol' token, and its first 'bad'
+    token or None, from one pass over `text`.  Lines end where str.splitlines
+    ends them; an empty last line is yielded too, and parses to nothing."""
+    line, offset, tokens, bad = 1, -1, [], None
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind in ("ws", "comment"):
+        if kind is None:
             continue
-        tokens.append(Token(kind, m.group(), line_no, m.start() + 1))
-    tokens.append(Token("eol", "", line_no, len(text) + 1))
-    return tokens
+        if kind == "eol":
+            tokens.append(Token("eol", "", line, m.start() - offset))
+            yield tokens, bad
+            line, offset, tokens, bad = line + 1, m.end() - 1, [], None
+        elif kind != "bad":
+            tokens.append(Token(kind, m[0], line, m.start() - offset))
+        elif bad is None:
+            bad = Token(kind, m[0], line, m.start() - offset)
+    tokens.append(Token("eol", "", line, len(text) - offset))
+    yield tokens, bad
 
 
-class _LineParser:
-    def __init__(self, tokens: list[Token], builder: KBBuilder):
-        self.tokens = tokens
-        self.pos = 0
+class _Parser:
+    """The grammar, applied to one line's tokens at a time.  One parser reads
+    a whole document, so its lines share one memo of canonical properties."""
+
+    def __init__(self, builder: KBBuilder):
         self.builder = builder
+        self.canonical: dict = {}  # property tree -> its CanonicalProperty
+
+    def run(self, tokens: list[Token], bad: Optional[Token], rule):
+        """Apply a grammar rule to one line.  Nesting too deep for the stack,
+        or a core error blamed on no token, is reported at the line."""
+        if bad is not None:
+            raise DslError(f"unexpected character {bad.text!r}", bad.line, bad.column)
+        self.tokens, self.pos, self.cur = tokens, 0, tokens[0]
+        try:
+            return rule(self)
+        except RecursionError:
+            raise DslError(_TOO_DEEP, tokens[0].line, 1) from None
+        except DslError:
+            raise
+        except KBError as e:
+            raise DslError(str(e), tokens[0].line, 1) from e
 
     # -- token helpers --------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
 
     def error(self, message: str, tok: Optional[Token] = None) -> DslError:
         tok = tok or self.cur
@@ -116,27 +133,24 @@ class _LineParser:
     def advance(self) -> Token:
         tok = self.cur
         self.pos += 1
+        self.cur = self.tokens[self.pos]
         return tok
 
-    def accept(self, sym: str) -> bool:
-        if self.cur.kind == "sym" and self.cur.text == sym:
-            self.pos += 1
+    def accept(self, text: str) -> bool:
+        """Take a symbol or keyword, whose text alone fixes the token's kind."""
+        if self.cur.text == text:
+            self.advance()
             return True
         return False
 
-    def expect_sym(self, sym: str) -> Token:
-        if self.cur.kind != "sym" or self.cur.text != sym:
-            raise self.error(f"expected {sym!r}, found {self.cur.text or 'end of line'!r}")
+    def expect(self, text: str) -> Token:
+        if self.cur.text != text:
+            raise self.error(f"expected {text!r}, found {self.cur.text or 'end of line'!r}")
         return self.advance()
 
     def expect_id(self, what: str = "identifier") -> Token:
         if self.cur.kind != "id" or self.cur.text in KEYWORDS:
             raise self.error(f"expected {what}, found {self.cur.text or 'end of line'!r}")
-        return self.advance()
-
-    def expect_keyword(self, kw: str) -> Token:
-        if self.cur.kind != "id" or self.cur.text != kw:
-            raise self.error(f"expected {kw!r}, found {self.cur.text or 'end of line'!r}")
         return self.advance()
 
     def expect_eol(self) -> None:
@@ -173,7 +187,11 @@ class _LineParser:
         return CanonicalClass(tuple(sorted(atoms)))
 
     def prop_expr(self) -> CanonicalProperty:
-        return canonicalize_property(self._prop_tree())
+        tree = self._prop_tree()
+        prop = self.canonical.get(tree)
+        if prop is None:
+            prop = self.canonical[tree] = canonicalize_property(tree)
+        return prop
 
     def _prop_tree(self):
         expr = self._prop_unary()
@@ -186,30 +204,29 @@ class _LineParser:
             return PropNot(self._prop_unary())
         if self.accept("("):
             inner = self._prop_tree()
-            self.expect_sym(")")
+            self.expect(")")
             return inner
         return PropAtom(self.declared_id("property atom", "property", self.builder.property_atoms))
 
     def sentence_form(self) -> tuple[CanonicalProperty, str]:
         """``propexpr "(" individual ")"``, in declarations and in queries."""
         prop = self.prop_expr()
-        self.expect_sym("(")
+        self.expect("(")
         ind = self.declared_id("individual", "individual", self.builder.individuals)
-        self.expect_sym(")")
+        self.expect(")")
         return prop, ind
 
     def interval_expr(self) -> Interval:
         if self.accept("="):
             value = self.expect_num()
             return Interval(value, value)
-        if self.cur.kind == "id" and self.cur.text == "in":
-            self.advance()
-            self.expect_sym("[")
+        if self.accept("in"):
+            self.expect("[")
             start = self.cur
             lo = self.expect_num()
-            self.expect_sym(",")
+            self.expect(",")
             hi = self.expect_num()
-            self.expect_sym("]")
+            self.expect("]")
             return self.at(start, Interval, lo, hi)
         raise self.error(f"expected '=' or 'in', found {self.cur.text or 'end of line'!r}")
 
@@ -221,59 +238,43 @@ class _LineParser:
         head = self.cur
         if head.kind != "id":
             raise self.error(f"expected declaration or statement, found {head.text!r}")
-        handler = {
-            "class": self._decl_class,
-            "property": self._decl_property,
-            "individual": self._decl_individual,
-            "sentence": self._decl_sentence,
-            "stat": self._stmt_stat,
-            "member": self._stmt_member,
-            "subset": self._stmt_subset,
-            "equiv": self._stmt_equiv,
-        }.get(head.text)
+        handler = self.DIRECTIVES.get(head.text)
         if handler is None:
             raise self.error(f"unknown directive {head.text!r}", head)
         self.advance()
-        handler()
+        handler(self)
         self.expect_eol()
 
-    def _decl_class(self) -> None:
-        tok = self.expect_id("class name")
-        self.at(tok, self.builder.declare_class, tok.text)
-
-    def _decl_property(self) -> None:
-        tok = self.expect_id("property name")
-        self.at(tok, self.builder.declare_property, tok.text)
-
-    def _decl_individual(self) -> None:
-        tok = self.expect_id("individual name")
-        self.at(tok, self.builder.declare_individual, tok.text)
+    def _decl_name(self) -> None:
+        kind = self.tokens[0].text  # 'class' | 'property' | 'individual'
+        tok = self.expect_id(f"{kind} name")
+        self.at(tok, getattr(self.builder, f"declare_{kind}"), tok.text)
 
     def _decl_sentence(self) -> None:
         # Stricter than the builder, which accepts an identical re-declaration.
         label = self.expect_id("sentence label")
         if label.text in self.builder.sentence_forms:
             raise self.error(f"duplicate sentence declaration: {label.text}", label)
-        self.expect_keyword("iff")
+        self.expect("iff")
         self.builder.declare_sentence(label.text, *self.sentence_form())
 
     def _stmt_stat(self) -> None:
-        self.expect_sym("%")
-        self.expect_sym("(")
+        self.expect("%")
+        self.expect("(")
         cls = self.class_expr()
-        self.expect_sym(",")
+        self.expect(",")
         prop = self.prop_expr()
-        self.expect_sym(")")
+        self.expect(")")
         self.builder.assert_stat(cls, prop, self.interval_expr())
 
     def _stmt_member(self) -> None:
         ind = self.declared_id("individual", "individual", self.builder.individuals)
-        self.expect_keyword("in")
+        self.expect("in")
         self.builder.assert_member(ind, self.class_expr())
 
     def _stmt_subset(self) -> None:
         sub = self.class_expr()
-        self.expect_sym("<")
+        self.expect("<")
         sup = self.class_expr()
         self.at(self.cur, self.builder.assert_subset, sub, sup)
 
@@ -302,32 +303,27 @@ class _LineParser:
             self.builder.query_sentences[form] = label
         return label
 
-
-def _parse(text: str, line_no: int, builder: KBBuilder, rule):
-    """Apply a grammar rule to one line.  Nesting too deep for the
-    interpreter's stack is reported at the line instead of escaping."""
-    parser = _LineParser(_tokenize_line(text, line_no), builder)
-    try:
-        return rule(parser)
-    except RecursionError:
-        raise DslError("expression nested too deeply", line_no, 1) from None
+    DIRECTIVES = {
+        "class": _decl_name, "property": _decl_name,
+        "individual": _decl_name, "sentence": _decl_sentence,
+        "stat": _stmt_stat, "member": _stmt_member,
+        "subset": _stmt_subset, "equiv": _stmt_equiv,
+    }
 
 
 def parse_kb(text: str) -> KBBuilder:
     """Parse a document into a builder; raises ParseFailure with every
     line-level error found (parsing continues past bad lines)."""
-    builder = KBBuilder()
+    parser = _Parser(KBBuilder())
     errors: list[DslError] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for tokens, bad in _lines(text):
         try:
-            _parse(line, line_no, builder, _LineParser.parse_line)
+            parser.run(tokens, bad, _Parser.parse_line)
         except DslError as e:
             errors.append(e)
-        except KBError as e:
-            errors.append(DslError(str(e), line_no, 1))
     if errors:
         raise ParseFailure(errors)
-    return builder
+    return parser.builder
 
 
 QUERY_PREFIX = "__q"
@@ -340,7 +336,10 @@ def parse_query(text: str, builder: KBBuilder) -> str:
     ``heads(t14)`` declares (or reuses) an anonymous sentence for that
     canonical form.
     """
-    return _parse(text.strip(), 1, builder, _LineParser.query)
+    tokens, bad = [], None
+    for line, line_bad in _lines(text.strip()):  # a line break acts as a space
+        tokens, bad = tokens[:-1] + line, bad or line_bad
+    return _Parser(builder).run(tokens, bad, _Parser.query)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import refclass as rc
+from refclass import dsl
 
 
 # ---------------------------------------------------------------------------
@@ -530,3 +532,46 @@ def closure_signature(ckb: rc.ClosedKB):
         frozenset((s, g) for s, g in ckb.sentence_groups.items()),
         frozenset((s, f) for s, f in ckb.sentence_forms.items()),
     )
+
+
+# ---------------------------------------------------------------------------
+# The per-line parse the one-pass tokenizer replaced
+# ---------------------------------------------------------------------------
+
+_LINE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<comment>#.*)"
+    r"|(?P<num>\d+\.\d+|\.\d+|\d+)"
+    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<sym>%|\(|\)|\[|\]|,|=|<|&|!)"
+)
+
+
+def oracle_tokenize_line(text: str, line_no: int) -> list:
+    """One line's tokens, matched from the line's start one at a time."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _LINE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise rc.DslError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+        pos = m.end()
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(dsl.Token(m.lastgroup, m.group(), line_no, m.start() + 1))
+    tokens.append(dsl.Token("eol", "", line_no, len(text) + 1))
+    return tokens
+
+
+def oracle_parse_kb(text: str) -> tuple[rc.KBBuilder, list]:
+    """(builder, errors) from `str.splitlines`, each line tokenized on its
+    own, and a new parser per line, so no canonical property is memoised
+    from one line to the next."""
+    builder = rc.KBBuilder()
+    errors = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        try:
+            tokens = oracle_tokenize_line(line, line_no)
+            dsl._Parser(builder).run(tokens, None, dsl._Parser.parse_line)
+        except rc.DslError as e:
+            errors.append(e)
+    return builder, errors

@@ -38,6 +38,14 @@ class TestCanonicalizeClass:
         with pytest.raises(rc.DeclarationError, match="^undeclared class: zebra$"):
             rc.canonicalize_class(rc.ClassAtom("zebra"), declared={"a"})
 
+    def test_deep_tree(self):
+        expr = rc.ClassAtom("a")
+        for _ in range(5000):
+            expr = rc.ClassAnd(expr, rc.ClassAtom("b"))
+        assert rc.canonicalize_class(expr, {"a", "b"}) == cls("a", "b")
+        with pytest.raises(rc.DeclarationError, match="^undeclared class: a$"):
+            rc.canonicalize_class(expr, {"b"})
+
     def test_intersection_properties(self):
         a, b = cls("a"), cls("b")
         assert a.intersect(b) == b.intersect(a) == cls("a", "b")
@@ -93,6 +101,14 @@ class TestCanonicalizeProperty:
     def test_undeclared_atom(self):
         with pytest.raises(rc.DeclarationError, match="^undeclared property: q$"):
             rc.canonicalize_property(rc.PropAtom("q"), declared={"p"})
+
+    @pytest.mark.parametrize("kind", ["negation", "conjunction"])
+    def test_deep_tree_is_a_validation_error(self, kind):
+        expr = rc.PropAtom("p")
+        for _ in range(5000):
+            expr = rc.PropNot(expr) if kind == "negation" else rc.PropAnd(expr, rc.PropAtom("p"))
+        with pytest.raises(rc.ValidationError, match="^expression nested too deeply$"):
+            rc.canonicalize_property(expr)
 
 
 class TestInterval:
@@ -166,6 +182,15 @@ class TestAssert:
             b.assert_member("zz", cls("tosses"))
         with pytest.raises(rc.DeclarationError, match="^undeclared sentence: zz$"):
             b.assert_equiv("S14", "zz")
+
+    @pytest.mark.parametrize("declare", ["declare_class", "declare_property",
+                                         "declare_individual"])
+    @pytest.mark.parametrize("name", ["é", "class", "iff", "a-b", "1a", ""])
+    def test_names_the_dsl_cannot_read_rejected(self, declare, name):
+        b = rc.KBBuilder()
+        with pytest.raises(rc.DeclarationError):
+            getattr(b, declare)(name)
+        assert not (b.class_atoms or b.property_atoms or b.individuals)
 
     def test_universal_not_assertable(self):
         b = coin_builder()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refclass as rc
-from conftest import closure_signature, coin_builder
+from conftest import closure_signature, coin_builder, oracle_parse_kb
 from refclass.dsl import KEYWORDS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -135,6 +135,14 @@ class TestParseQuery:
         label = rc.parse_query("!heads & heads (t14)", b)
         assert b.sentence_forms[label] == (rc.CONTRADICTION, "t14")
 
+    def test_line_break_separates_tokens(self):
+        b = rc.parse_kb(COIN_TEXT)
+        assert rc.parse_query("heads\r\n(t14)", b) == rc.parse_query("heads(t14)", b)
+        with pytest.raises(rc.DslError) as exc:
+            rc.parse_query("heads(\n t99)", b)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (
+            "undeclared individual: t99", 2, 2)
+
     def test_undeclared_sentence(self):
         b = rc.parse_kb(COIN_TEXT)
         with pytest.raises(rc.DslError):
@@ -194,6 +202,27 @@ class TestRender:
         b = rc.parse_kb("class r\nproperty p\nstat %(r, !(p & !p)) = 1\n")
         b2 = rc.parse_kb(rc.render(b))
         assert closure_signature(b.close()) == closure_signature(b2.close())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=4),
+                     st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+                     st.sampled_from(sorted(KEYWORDS) + ["U"])))
+    def test_accepted_names_survive_render(self, name):
+        """A name the builder accepts, in every place it can take, parses back."""
+        b = rc.KBBuilder()
+        for declare in (b.declare_class, b.declare_property, b.declare_individual):
+            try:
+                declare(name)
+            except rc.DeclarationError:
+                pass
+        if name in b.property_atoms and name in b.individuals:
+            b.declare_sentence(name, prop(name), name)
+        if name in b.class_atoms and name in b.property_atoms:
+            b.assert_stat(cls(name), prop(name), rc.Interval.point(Fraction(1, 2)))
+        if name in b.class_atoms and name in b.individuals:
+            b.assert_member(name, cls(name))
+        text = rc.render(b)
+        assert rc.render(rc.parse_kb(text)) == text
 
     def test_nondecimal_rational_unrenderable(self):
         b = rc.KBBuilder()
@@ -319,3 +348,45 @@ def test_fuzz_parse_query(query):
     except rc.KBError:
         return
     assert label in builder.sentence_forms
+
+
+# ---------------------------------------------------------------------------
+# The one-pass tokenizer against the per-line parse it replaced
+# ---------------------------------------------------------------------------
+
+# Every boundary str.splitlines splits at; "\r" then "\n" is one.
+LINE_BREAKS = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+PADDING = ["", " ", "\t", "\x1f", "\xa0"]  # none, or whitespace that ends no line
+# Lines that parse after FUZZ_HEADER, however often they repeat.
+GOOD_LINES = ["stat %(a & b, !(p & !q)) in [0.25, 0.5]", "stat %(a, !p) = .5",
+              "member i in a & b", "subset a < b", "", "# note"]
+# Adds comments and characters no token starts with to the fuzzing tokens.
+LINE_PIECES = FUZZ_TOKENS + ["# note", "#!(", "@", "é", "٣"] + GOOD_LINES
+
+
+def document(line):
+    lines = st.lists(st.tuples(line, st.sampled_from(LINE_BREAKS)), max_size=12)
+    return st.tuples(st.booleans(), lines, line).map(
+        lambda t: FUZZ_HEADER * t[0] + "".join(a + b for a, b in t[1]) + t[2])
+
+
+GOOD_LINE = st.tuples(st.sampled_from(PADDING), st.sampled_from(GOOD_LINES),
+                      st.sampled_from(PADDING)).map("".join)
+ANY_LINE = st.one_of(GOOD_LINE, st.tuples(
+    st.sampled_from(PADDING), st.lists(st.sampled_from(LINE_PIECES), max_size=8)).map(
+    lambda t: t[0].join(t[1])))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(document(GOOD_LINE), document(ANY_LINE)))
+def test_one_pass_parse_matches_per_line_parse(text):
+    want, want_errors = oracle_parse_kb(text)
+    try:
+        got = rc.parse_kb(text)
+    except rc.ParseFailure as failure:
+        assert [[e.message, e.line, e.column] for e in failure.errors] == \
+            [[e.message, e.line, e.column] for e in want_errors]
+    else:
+        assert not want_errors
+        assert rc.render(got) == rc.render(want)
