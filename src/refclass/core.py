@@ -247,7 +247,7 @@ def canonicalize_class(expr: ClassExpr, declared: Optional[set[str]] = None) -> 
         elif isinstance(e, ClassAnd):
             stack += (e.right, e.left)
         else:
-            raise ValidationError(f"not a class expression: {e!r}")
+            raise ValidationError(f"not a class expression: {type(e).__name__}")
     return CanonicalClass(tuple(sorted(atoms)))
 
 
@@ -552,11 +552,12 @@ StatIndex = dict[CanonicalProperty, dict[tuple[str, ...], tuple[CanonicalClass, 
 class ClosedKB:
     """The knowledge base after deductive closure.  Immutable.
 
-    Memberships are kept implicit: ``generators`` holds the atoms of each
-    individual's asserted membership classes, and ``tops`` their union, the
-    individual's most specific known class (U if it has none).  A class is a
-    known membership iff its atoms are the union of the generators inside
-    it, an O(k) test for k generators; :meth:`table_classes` lists all 2^k.
+    Memberships are kept implicit: ``generators`` holds the sorted atoms of
+    each individual's asserted membership classes, and ``tops`` their union,
+    the individual's most specific known class (U if it has none).  A class
+    is a known membership iff its atoms are the union of the generators
+    inside it, an O(k) test for k generators; :meth:`table_classes` lists
+    all 2^k.
 
     ``stat_index`` maps each property to the classes whose fused interval
     for it is narrower than [0, 1] (atom tuple -> (class, interval));
@@ -571,7 +572,11 @@ class ClosedKB:
     asserted hops, so this is all :meth:`subset_known` needs.
 
     ``memberships``, ``universe``, ``subset_pairs`` and
-    ``subset_cycle_classes`` are views computed on first access too.
+    ``subset_cycle_classes`` are views computed on first access too.  Two
+    caches fill as they are asked, keyed by a generator tuple, that is by
+    membership profile: ``_closures`` holds :meth:`table_classes`, and
+    ``_judged`` each query table judged by the inference module, per
+    (generators, property, point mode).
     """
 
     class_atoms: frozenset[str]
@@ -594,18 +599,22 @@ class ClosedKB:
     def table_classes(self, individual: str) -> tuple[CanonicalClass, ...]:
         """The individual's known memberships in table order: most atoms
         first, then by atoms, U last.  Up to 2^k classes for k generators,
-        computed on first ask per individual."""
+        computed on first ask per membership profile."""
         _check_declared("individual", individual, self.individuals)
-        got = self._closures.get(individual)
+        gens = self.generators[individual]
+        got = self._closures.get(gens)
         if got is None:
-            ordered = sorted(tuple(sorted(atoms))
-                             for atoms in _union_closure(self.generators[individual]))
+            ordered = sorted(tuple(sorted(atoms)) for atoms in _union_closure(gens))
             ordered.sort(key=len, reverse=True)  # stable: by atoms within a size
-            got = self._closures[individual] = tuple(map(CanonicalClass._from_sorted, ordered))
+            got = self._closures[gens] = tuple(map(CanonicalClass._from_sorted, ordered))
         return got
 
     @cached_property
-    def _closures(self) -> dict[str, tuple[CanonicalClass, ...]]:
+    def _closures(self) -> dict[tuple[tuple[str, ...], ...], tuple[CanonicalClass, ...]]:
+        return {}
+
+    @cached_property
+    def _judged(self) -> dict:
         return {}
 
     @cached_property
@@ -764,8 +773,9 @@ def close(builder: KBBuilder) -> ClosedKB:
     complement reflections, the [0,1] default).  An empty fused interval
     raises InconsistencyError.
     """
-    # memberships: each individual's asserted generators and their union.
-    # Equal generator tuples and top classes are shared between individuals.
+    # memberships: each individual's asserted generators, sorted, and their
+    # union.  Equal generator tuples and top classes are shared between
+    # individuals.
     generators = dict.fromkeys(builder.individuals, ())
     tops = dict.fromkeys(builder.individuals, UNIVERSAL)
     shared: dict[tuple, tuple] = {}
@@ -773,7 +783,7 @@ def close(builder: KBBuilder) -> ClosedKB:
     by_individual = attrgetter("individual")
     for ind, group in itertools.groupby(sorted(builder.members, key=by_individual),
                                         key=by_individual):
-        gens = tuple(m.cls.atoms for m in group)
+        gens = tuple(sorted(m.cls.atoms for m in group))
         generators[ind] = gens = shared.setdefault(gens, gens)
         top = frozenset().union(*gens)
         cls = top_classes.get(top)

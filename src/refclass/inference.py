@@ -4,8 +4,8 @@ Point mode compares exact values over classes with point-valued statistics
 and may return no probability at all.  Interval mode runs the same pipeline
 over fused intervals (default [0,1]) and is total on formed sentences: the
 universal class row is never deleted because [0,1] includes every interval.
-Queries judge only the rows that can change the answer (see `_eval_form`);
-`explain` lists every known class.
+Queries judge only the rows that can change the answer (see `_judged_form`),
+once per membership profile; `explain` lists every known class.
 """
 
 from __future__ import annotations
@@ -181,51 +181,58 @@ class Trace:
         }
 
 
-def _stat_rows(ckb: ClosedKB, individual: str, top: CanonicalClass,
-               index: Optional[Mapping]) -> list[TableRow]:
-    """Rows for the indexed classes the individual is known to be in, in
-    table order."""
+def _stat_rows(gens: tuple, top: CanonicalClass, index: Optional[Mapping]) -> list[TableRow]:
+    """Rows for the indexed classes known from `gens`, in table order."""
     if not index:
         return []
-    gens = ckb.generators[individual]
     rows = [TableRow(cls, iv) for cls, iv in _classes_within(top.atoms, index)
             if _covered(gens, frozenset(cls.atoms))]
     rows.sort(key=lambda r: r.cls.sort_key())
     return rows
 
 
-def _eval_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
-               point: bool) -> FormTrace:
-    """One form's sparse table and result.
+def _judged_form(ckb: ClosedKB, gens: tuple, top: CanonicalClass,
+                 prop: CanonicalProperty, point: bool) -> tuple:
+    """A membership profile's sparse table for `prop`, judged, and its
+    answer: (interval, selected class), or the reason it is undefined.
 
     The dense table has a row per known class, but a [0, 1] row never
     differs, so it is never deleted, never a witness, and loses resolution
     to any live row narrower than [0, 1].  The top class (the union of the
-    individual's generators) is never deleted either, since every other
-    known class is a proper atom-subset of it.  So only the classes with a
-    stat narrower than [0, 1] (point-valued in point mode) are rows; when
-    none of them survives, interval mode answers with the top class.  With
-    a tautology or a contradiction every known class has the pinned value,
-    and the table is the top class alone.
+    generators) is never deleted either, since every other known class is a
+    proper atom-subset of it.  So only the classes with a stat narrower
+    than [0, 1] (point-valued in point mode) are rows; when none of them
+    survives, interval mode answers with the top class.  With a tautology
+    or a contradiction every known class has the pinned value, and the
+    table is the top class alone.
     """
-    form = (prop, individual)
-    top = ckb.tops[individual]
     if not prop.atoms:  # a tautology or a contradiction
         row = TableRow(top, ckb.effective_interval(top, prop))
-        return FormTrace(prop, individual, (row,), ProbResult.of(row.interval, top, form))
+        return (row,), (row.interval, top)
     index = (ckb.point_index if point else ckb.stat_index).get(prop)
-    rows = _stat_rows(ckb, individual, top, index)
+    rows = _stat_rows(gens, top, index)
     if point and not rows:
-        return FormTrace(prop, individual, (), ProbResult.undefined(NO_MEMBERSHIP))
+        return (), NO_MEMBERSHIP
     rows = tuple(_judge(ckb, rows))
     live = survivors(rows)
     if live:
-        res = ProbResult.of(*resolve(live), form)
-    elif point:
-        res = ProbResult.undefined(ALL_ROWS_DELETED)
-    else:
-        res = ProbResult.of(UNIT, top, form)
-    return FormTrace(prop, individual, rows, res)
+        return rows, resolve(live)
+    return rows, ALL_ROWS_DELETED if point else (UNIT, top)
+
+
+def _eval_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
+               point: bool) -> FormTrace:
+    """One form's sparse table and result: judged once per (generators,
+    property, mode) and `ClosedKB`, named after the individual asked about."""
+    gens = ckb.generators[individual]
+    judged = ckb._judged.get((gens, prop, point))
+    if judged is None:
+        judged = ckb._judged[gens, prop, point] = _judged_form(
+            ckb, gens, ckb.tops[individual], prop, point)
+    rows, answer = judged
+    if isinstance(answer, str):
+        return FormTrace(prop, individual, rows, ProbResult.undefined(answer))
+    return FormTrace(prop, individual, rows, ProbResult.of(*answer, (prop, individual)))
 
 
 def _padded(ckb: ClosedKB, ft: FormTrace, mode: str) -> FormTrace:

@@ -293,6 +293,72 @@ def random_wide_builder(rng: random.Random) -> rc.KBBuilder | None:
     return b
 
 
+def random_profile_builder(rng: random.Random) -> rc.KBBuilder | None:
+    """Many individuals drawn from a few membership profiles, one of them
+    empty; some individuals assert a profile's memberships in another
+    order.  Stats in [0, 1], point-valued and interval-valued, on unions
+    of a profile's classes and elsewhere; literal, conjunction, tautology
+    and contradiction sentences on every individual; equivalences."""
+    b = rc.KBBuilder()
+    atoms = [f"c{i}" for i in range(rng.randint(3, 5))]
+    props = [f"p{i}" for i in range(rng.randint(1, 2))]
+    for name in atoms:
+        b.declare_class(name)
+    for name in props:
+        b.declare_property(name)
+
+    def rand_class() -> rc.CanonicalClass:
+        return rc.CanonicalClass(tuple(sorted(rng.sample(atoms, rng.randint(1, 2)))))
+
+    profiles = [[]] + [list(dict.fromkeys(rand_class() for _ in range(rng.randint(1, 3))))
+                       for _ in range(rng.randint(2, 4))]
+    values = [Fraction(k, 10) for k in range(11)]
+    p0 = rc.PropAtom(props[0])
+    exprs = [p0, rc.PropNot(p0), rc.PropNot(rc.PropAnd(p0, rc.PropNot(p0))),
+             rc.PropAnd(p0, rc.PropNot(p0))]
+    if len(props) > 1:
+        exprs.append(rc.PropAnd(p0, rc.PropAtom(props[1])))
+    forms = [rc.canonicalize_property(e) for e in exprs]
+    try:
+        labels = []
+        for k in range(rng.randint(8, 16)):
+            ind = f"i{k}"
+            b.declare_individual(ind)
+            profile = list(rng.choice(profiles))
+            if rng.random() < 0.4:
+                profile.reverse()
+            for cls in profile:
+                b.assert_member(ind, cls)
+            for _ in range(rng.randint(1, 2)):
+                labels.append(f"S{len(labels)}")
+                b.declare_sentence(labels[-1], rng.choice(forms), ind)
+        for _ in range(rng.randint(3, 8)):
+            kind = rng.random()
+            if kind < 0.4:
+                iv = rc.Interval.point(rng.choice(values))
+            elif kind < 0.85:
+                lo = rng.choice(values[:-1])
+                iv = rc.Interval(lo, rng.choice([v for v in values if v > lo]))
+            else:
+                iv = rc.UNIT
+            profile = rng.choice(profiles[1:])
+            if rng.random() < 0.6:
+                cls = rc.CanonicalClass(tuple(sorted(
+                    {a for c in rng.sample(profile, rng.randint(1, len(profile)))
+                     for a in c.atoms})))
+            else:
+                cls = rand_class()
+            b.assert_stat(cls, rng.choice([f for f in forms if f.atoms]), iv)
+        if rng.random() < 0.4:
+            i, j = sorted(rng.sample(range(len(atoms)), 2))
+            b.assert_subset(rc.CanonicalClass((atoms[i],)), rc.CanonicalClass((atoms[j],)))
+        for _ in range(rng.randint(0, 2)):
+            b.assert_equiv(*rng.sample(labels, 2))
+    except rc.KBError:
+        return None
+    return b
+
+
 def random_sane_kbs(
     seed: int,
     count: int,

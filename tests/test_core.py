@@ -46,6 +46,13 @@ class TestCanonicalizeClass:
         with pytest.raises(rc.DeclarationError, match="^undeclared class: a$"):
             rc.canonicalize_class(expr, {"b"})
 
+    def test_deep_non_class_tree(self):
+        expr = rc.PropAtom("p")
+        for _ in range(5000):
+            expr = rc.PropNot(expr)
+        with pytest.raises(rc.ValidationError, match="^not a class expression: PropNot$"):
+            rc.canonicalize_class(expr)
+
     def test_intersection_properties(self):
         a, b = cls("a"), cls("b")
         assert a.intersect(b) == b.intersect(a) == cls("a", "b")
