@@ -14,7 +14,7 @@ import sys
 from .consistency import find_model, sanity_check
 from .core import CanonicalClass, InconsistencyError, KBError
 from .dsl import ParseFailure, parse_kb, parse_query
-from .inference import explain
+from .inference import explain, prob_interval, prob_point
 from . import __version__
 
 EXIT_OK = 0
@@ -82,20 +82,14 @@ def cmd_eval(args) -> int:
         for v in report.violations:
             print(f"inconsistency: {v}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    trace = explain(ckb, sentence, args.mode)
-    result = trace.result
+    if args.trace:
+        trace = explain(ckb, sentence, args.mode)
+        result = trace.result
+    else:
+        result = (prob_point if args.mode == "point" else prob_interval)(ckb, sentence)
 
     if args.json:
-        payload = {
-            "query": args.query,
-            "mode": args.mode,
-            "status": "defined" if result.defined else "undefined",
-        }
-        if result.defined:
-            payload["interval"] = [str(result.interval.lo), str(result.interval.hi)]
-            payload["reference_class"] = str(result.selected)
-        else:
-            payload["reason"] = result.reason
+        payload = {"query": args.query, "mode": args.mode, **result.to_dict()}
         if args.trace:
             payload["trace"] = trace.to_dict()
         _emit_json(payload)

@@ -104,8 +104,8 @@ def _mentioned_props(ckb: ClosedKB) -> list[CanonicalProperty]:
     for s in ckb.statements:
         if isinstance(s, Stat):
             props.add(s.prop)
-    for prop, _ in ckb.declared_forms.values():
-        props.add(prop)
+    for forms in ckb.sentence_forms.values():
+        props.update(prop for prop, _ in forms)
     return sorted(props, key=CanonicalProperty.sort_key)
 
 

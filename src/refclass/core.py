@@ -123,8 +123,9 @@ class CanonicalProperty:
         return not self.atoms and not self.rows
 
     def negate(self) -> "CanonicalProperty":
+        # a function and its negation depend on the same atoms
         full = frozenset(range(1 << len(self.atoms)))
-        return _reduced_property(self.atoms, full - self.rows)
+        return CanonicalProperty(self.atoms, full - self.rows)
 
     def conjoin(self, other: "CanonicalProperty") -> "CanonicalProperty":
         atoms = tuple(sorted(set(self.atoms) | set(other.atoms)))
@@ -589,7 +590,6 @@ class ClosedKB:
     subset_reach: Mapping[CanonicalClass, frozenset[CanonicalClass]]
     sentence_groups: Mapping[str, frozenset[str]]
     sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]]
-    declared_forms: Mapping[str, tuple[CanonicalProperty, str]]
     stats: Mapping[tuple[tuple[str, ...], CanonicalProperty], Interval]
 
     def known_memberships(self, individual: str) -> frozenset[CanonicalClass]:
@@ -866,6 +866,5 @@ def close(builder: KBBuilder) -> ClosedKB:
         subset_reach=reach,
         sentence_groups=sentence_groups,
         sentence_forms=sentence_forms,
-        declared_forms=dict(builder.sentence_forms),
         stats=fused,
     )

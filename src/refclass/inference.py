@@ -264,15 +264,13 @@ def _combine_forms(form_traces: list[FormTrace]) -> ProbResult:
     return ProbResult.undefined(NO_MEMBERSHIP)
 
 
-def _evaluate(ckb: ClosedKB, sentence: str, mode: str, pad: bool = False) -> Trace:
+def _evaluate(ckb: ClosedKB, sentence: str, mode: str) -> Trace:
     forms = ckb.sentence_forms.get(sentence)
     if not forms:
         res = ProbResult.undefined(NO_SENTENCE_FORM)
         return Trace(sentence, mode, (), res)
     point = mode == "point"
     form_traces = [_eval_form(ckb, prop, ind, point) for prop, ind in forms]
-    if pad:
-        form_traces = [_padded(ckb, ft, mode) for ft in form_traces]
     return Trace(sentence, mode, tuple(form_traces), _combine_forms(form_traces))
 
 
@@ -294,4 +292,6 @@ def explain(ckb: ClosedKB, sentence: str, mode: str = "interval") -> Trace:
     """
     if mode not in ("point", "interval"):
         raise ValueError(f"mode must be 'point' or 'interval', got {mode!r}")
-    return _evaluate(ckb, sentence, mode, pad=True)
+    trace = _evaluate(ckb, sentence, mode)
+    forms = tuple(_padded(ckb, ft, mode) for ft in trace.forms)
+    return Trace(sentence, mode, forms, trace.result)

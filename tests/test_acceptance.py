@@ -104,7 +104,7 @@ def test_c4_nested_intervals():
 def test_c5_totality():
     failures = 0
     for _, ckb in CORPUS_TOTALITY:
-        for label in ckb.declared_forms:
+        for label in ckb.sentence_forms:
             if not rc.prob_interval(ckb, label).defined:
                 failures += 1
     assert failures == 0
@@ -127,7 +127,7 @@ def test_c6_a1_equivalence():
 def test_c7_survivor_nesting():
     assert len(CORPUS_MODELED) >= 50, "model-checked corpus unexpectedly small"
     for _, ckb in CORPUS_MODELED:
-        for label in ckb.declared_forms:
+        for label in ckb.sentence_forms:
             for mode in ("point", "interval"):
                 trace = rc.explain(ckb, label, mode)
                 for form in trace.forms:
@@ -144,7 +144,7 @@ def test_c7_survivor_nesting():
 def test_c8_filter_oracle():
     corpora = CORPUS_TOTALITY + CORPUS_EQUIV + CORPUS_MODELED
     for _, ckb in corpora:
-        for label in ckb.declared_forms:
+        for label in ckb.sentence_forms:
             for mode in ("point", "interval"):
                 trace = rc.explain(ckb, label, mode)
                 for form in trace.forms:
@@ -187,9 +187,9 @@ def test_c10_complement_symmetry():
     corpora = CORPUS_TOTALITY + CORPUS_MODELED
     checked = 0
     for _, ckb in corpora:
-        for label in ckb.declared_forms:
+        for label in ckb.sentence_forms:
             twin = f"N_{label}"
-            if label.startswith("N_") or twin not in ckb.declared_forms:
+            if label.startswith("N_") or twin not in ckb.sentence_forms:
                 continue
             res = rc.prob_interval(ckb, label)
             neg = rc.prob_interval(ckb, twin)

@@ -7,6 +7,7 @@ import shlex
 import pytest
 
 from refclass import cli
+from refclass.core import ClosedKB
 
 COIN = """\
 class tosses
@@ -126,6 +127,25 @@ class TestEval:
     def test_unknown_query_sentence(self, kb_file, capsys):
         code = run(["eval", kb_file(COIN), "--query", "S99"])
         assert code == 1
+
+    @pytest.mark.parametrize("mode", ["interval", "point"])
+    def test_eval_builds_no_dense_table(self, kb_file, capsys, monkeypatch, mode):
+        """Without --trace, 20 memberships (2^20 known classes) are never listed."""
+        atoms = [f"a{k:02}" for k in range(20)]
+        text = "".join(f"class {a}\n" for a in atoms)
+        text += "property p\nindividual w\nsentence S iff p(w)\n"
+        text += "".join(f"member w in {a}\n" for a in atoms)
+        text += "stat %(a00, p) = 0.3\nstat %(a00 & a01, p) = 0.2\n"
+
+        def listed(self, individual):
+            raise AssertionError("eval without --trace listed the known classes")
+
+        monkeypatch.setattr(ClosedKB, "table_classes", listed)
+        code = run(["eval", kb_file(text), "--query", "S", "--mode", mode, "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "query": "S", "mode": mode, "status": "defined",
+            "interval": ["1/5", "1/5"], "reference_class": "a00 & a01"}
 
 
 class TestCheck:

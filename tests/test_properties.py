@@ -102,6 +102,11 @@ def test_property_negation_involution(expr):
     assert p.negate().negate() == p
 
 
+@given(prop_exprs())
+def test_property_negate_matches_canonical_negation(expr):
+    assert rc.canonicalize_property(rc.PropNot(expr)) == rc.canonicalize_property(expr).negate()
+
+
 @given(prop_exprs(), prop_exprs())
 def test_property_conjoin_commutative(e1, e2):
     p1, p2 = rc.canonicalize_property(e1), rc.canonicalize_property(e2)
@@ -162,7 +167,7 @@ def test_sentence_partition_is_partition():
             assert label in group
             for member in group:
                 assert ckb.sentence_groups[member] == group
-        all_labels = set(ckb.declared_forms)
+        all_labels = set(ckb.sentence_forms)
         assert set(ckb.sentence_groups) == all_labels
 
 
@@ -214,7 +219,7 @@ def test_point_interval_coherence():
     # per-form invariant: sentences merged into larger equivalence groups
     # evaluate a different form set and are exercised separately
     for _, ckb in KBS:
-        for label in ckb.declared_forms:
+        for label in ckb.sentence_forms:
             if len(ckb.sentence_groups[label]) > 1:
                 continue
             pt = rc.prob_point(ckb, label)
@@ -226,8 +231,8 @@ def test_point_interval_coherence():
 
 def test_complement_symmetry():
     for _, ckb in KBS:
-        for label in ckb.declared_forms:
-            if label.startswith("N_") or f"N_{label}" not in ckb.declared_forms:
+        for label in ckb.sentence_forms:
+            if label.startswith("N_") or f"N_{label}" not in ckb.sentence_forms:
                 continue
             if len(ckb.sentence_groups[label]) > 1:
                 continue
