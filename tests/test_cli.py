@@ -221,6 +221,8 @@ def test_pinned_output(command, capsys, monkeypatch):
 
     Pinned from the engine that materialised the whole subset closure; the
     one deliberate difference is `"ok": false` on the no-model `check`.
+    The text `eval` entries and the JSON ones without `--trace` were pinned
+    from the engine that padded every `eval` to the dense table.
     """
     monkeypatch.chdir(ROOT)
     code = run(shlex.split(command))
