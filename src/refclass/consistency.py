@@ -21,6 +21,7 @@ from .core import (
     CanonicalProperty,
     ClosedKB,
     Member,
+    SentenceForm,
     Stat,
     Subset,
     _covered,
@@ -100,13 +101,14 @@ def _mentioned_classes(ckb: ClosedKB) -> list[CanonicalClass]:
 
 
 def _mentioned_props(ckb: ClosedKB) -> list[CanonicalProperty]:
-    props = set()
-    for s in ckb.statements:
-        if isinstance(s, Stat):
-            props.add(s.prop)
-    for forms in ckb.sentence_forms.values():
-        props.update(prop for prop, _ in forms)
+    props = {s.prop for s in ckb.statements if isinstance(s, (Stat, SentenceForm))}
     return sorted(props, key=CanonicalProperty.sort_key)
+
+
+def _sentence_classes(ckb: ClosedKB) -> list[tuple[tuple[CanonicalProperty, str], ...]]:
+    """The forms of each sentence-equivalence class, once per class."""
+    return list({group: ckb.sentence_forms[label]
+                 for label, group in ckb.sentence_groups.items()}.values())
 
 
 def verify_model(ckb: ClosedKB, model: FiniteModel) -> bool:
@@ -153,17 +155,9 @@ def verify_model(ckb: ClosedKB, model: FiniteModel) -> bool:
         elif isinstance(s, Subset):
             if not (exts[s.sub] < exts[s.sup]):
                 return False
-    # every group of equivalent sentences must get one truth value
-    seen_groups = set()
-    for label, group in ckb.sentence_groups.items():
-        key = frozenset(group)
-        if key in seen_groups:
-            continue
-        seen_groups.add(key)
-        truths = set()
-        for prop, ind in ckb.sentence_forms[label]:
-            truths.add(model.satisfies(prop, model.individual_map[ind]))
-        if len(truths) > 1:
+    # every class of equivalent sentences must get one truth value
+    for forms in _sentence_classes(ckb):
+        if len({model.satisfies(prop, model.individual_map[ind]) for prop, ind in forms}) > 1:
             return False
     return True
 
@@ -242,10 +236,8 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
                            iv.lo.denominator, iv.hi.numerator, iv.hi.denominator))
     # Equivalent sentence forms, as (property mask, individual slot) pairs.
     slot = {ind: k for k, ind in enumerate(individuals)}
-    form_groups = {
-        frozenset(group): [(prop_mask(p), slot[ind]) for p, ind in ckb.sentence_forms[label]]
-        for label, group in ckb.sentence_groups.items()
-    }.values()
+    form_groups = [[(prop_mask(p), slot[ind]) for p, ind in forms]
+                   for forms in _sentence_classes(ckb)]
 
     def forms_agree(ind_types: tuple[int, ...]) -> bool:
         return all(
@@ -266,16 +258,10 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
                 return False
         return True
 
-    # Required class bits per individual, from asserted memberships.
-    required: dict[str, int] = {i: 0 for i in individuals}
-    for s in ckb.statements:
-        if isinstance(s, Member):
-            for a in s.cls.atoms:
-                required[s.individual] |= 1 << class_atoms.index(a)
-
+    # An individual's types are those in its most specific known class.
     def individual_type_choices(ind: str) -> list[int]:
-        req = required[ind]
-        return [t for t in range(n_types) if t & req == req]
+        mask = class_mask(ckb.tops[ind])
+        return [t for t in range(n_types) if mask >> t & 1]
 
     choice_lists = [individual_type_choices(i) for i in individuals]
     m = len(individuals)

@@ -269,7 +269,7 @@ def canonicalize_property(expr: PropExpr, declared: Optional[set[str]] = None) -
             collect(e.left)
             collect(e.right)
         else:
-            raise ValidationError(f"not a property expression: {e!r}")
+            raise ValidationError(f"not a property expression: {type(e).__name__}")
 
     def ev(e: PropExpr, mask: int) -> bool:
         if isinstance(e, PropAtom):
@@ -572,6 +572,10 @@ class ClosedKB:
     steps.  Known inclusion is the composition of atom-superset steps with
     asserted hops, so this is all :meth:`subset_known` needs.
 
+    ``sentence_groups`` and ``sentence_forms`` map each sentence label to
+    its equivalence class and to the class's sorted (property, individual)
+    forms; all labels of a class share one object of each.
+
     ``memberships``, ``universe``, ``subset_pairs`` and
     ``subset_cycle_classes`` are views computed on first access too.  Two
     caches fill as they are asked, keyed by a generator tuple, that is by
@@ -809,16 +813,18 @@ def close(builder: KBBuilder) -> ClosedKB:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    groups: dict[str, set[str]] = {}
+    # one label set and one sorted forms tuple per class, shared by its labels
+    classes: dict[str, list[str]] = {}
     for s in builder.sentence_forms:
-        groups.setdefault(find(s), set()).add(s)
-    sentence_groups = {s: frozenset(groups[find(s)]) for s in builder.sentence_forms}
+        classes.setdefault(find(s), []).append(s)
+    sentence_groups: dict[str, frozenset[str]] = {}
     sentence_forms: dict[str, tuple[tuple[CanonicalProperty, str], ...]] = {}
-    for s, members_ in sentence_groups.items():
-        forms = {builder.sentence_forms[m] for m in members_}
-        sentence_forms[s] = tuple(
-            sorted(forms, key=lambda f: (f[0].sort_key(), f[1]))
-        )
+    for labels in classes.values():
+        group = frozenset(labels)
+        forms = tuple(sorted({builder.sentence_forms[s] for s in labels},
+                             key=lambda f: (f[0].sort_key(), f[1])))
+        for s in labels:
+            sentence_groups[s], sentence_forms[s] = group, forms
 
     # fused statistics: direct ∩ reflected-complement ∩ default (∩ pinned)
     by_key: dict[tuple[tuple[str, ...], CanonicalProperty], list[Interval]] = {}

@@ -367,8 +367,12 @@ def _render_number(x: Fraction) -> str:
     return f"{s[:-shift]}.{s[-shift:]}"
 
 
-def _render_property(prop: CanonicalProperty, fallback_atom: str) -> str:
-    """Serialize a canonical property using only !, & and parentheses."""
+def _render_property(prop: CanonicalProperty, fallback_atom: Optional[str]) -> str:
+    """Serialize a canonical property using only !, & and parentheses.
+
+    True and false are written with `fallback_atom`, a declared property."""
+    if not prop.atoms and fallback_atom is None:
+        raise ValueError(f"{prop} cannot be written without a declared property")
     if prop.is_contradiction:
         return f"{fallback_atom} & !{fallback_atom}"
     if prop.is_tautology:
@@ -388,7 +392,10 @@ def _render_property(prop: CanonicalProperty, fallback_atom: str) -> str:
 
 
 def render(builder: KBBuilder) -> str:
-    """Serialize in canonical order; parse(render(kb)) has identical closure."""
+    """Serialize in canonical order; parse(render(kb)) has identical closure.
+
+    Raises ValueError for a number with no finite decimal expansion, and
+    for a tautology or contradiction in a KB that declares no property."""
     lines: list[str] = []
     for name in sorted(builder.class_atoms):
         lines.append(f"class {name}")
@@ -396,7 +403,7 @@ def render(builder: KBBuilder) -> str:
         lines.append(f"property {name}")
     for name in sorted(builder.individuals):
         lines.append(f"individual {name}")
-    fallback = min(builder.property_atoms) if builder.property_atoms else "p"
+    fallback = min(builder.property_atoms, default=None)
     for label in sorted(builder.sentence_forms):
         prop, ind = builder.sentence_forms[label]
         lines.append(f"sentence {label} iff {_render_property(prop, fallback)}({ind})")

@@ -117,6 +117,13 @@ class TestCanonicalizeProperty:
         with pytest.raises(rc.ValidationError, match="^expression nested too deeply$"):
             rc.canonicalize_property(expr)
 
+    def test_deep_non_property_tree(self):
+        expr = rc.ClassAtom("a")
+        for _ in range(5000):
+            expr = rc.ClassAnd(expr, rc.ClassAtom("b"))
+        with pytest.raises(rc.ValidationError, match="^not a property expression: ClassAnd$"):
+            rc.canonicalize_property(expr)
+
 
 class TestInterval:
     def test_validation(self):
@@ -266,6 +273,34 @@ class TestClose:
         for s in ckb.statements:
             b2.assert_statement(s)
         assert closure_signature(b2.close()) == closure_signature(ckb)
+
+    def test_sentence_class_stored_once(self, monkeypatch):
+        """One class of 500 labels with distinct forms: every label maps to
+        the same group and forms objects, and the forms are keyed once each."""
+        b = rc.KBBuilder()
+        b.declare_property("p")
+        b.declare_individual("i")
+        base = rc.canonicalize_property(rc.PropAtom("p"))
+        for k in range(500):
+            b.declare_property(f"q{k}")
+            b.declare_sentence(f"S{k}", base.conjoin(prop(f"q{k}")), "i")
+            if k:
+                b.assert_equiv(f"S{k - 1}", f"S{k}")
+        calls = 0
+        sort_key = rc.CanonicalProperty.sort_key
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return sort_key(self)
+
+        monkeypatch.setattr(rc.CanonicalProperty, "sort_key", counted)
+        ckb = b.close()
+        assert calls < 5000
+        group, forms = ckb.sentence_groups["S0"], ckb.sentence_forms["S0"]
+        assert len(group) == len(forms) == 500
+        assert all(ckb.sentence_groups[s] is group for s in group)
+        assert all(ckb.sentence_forms[s] is forms for s in group)
 
 
 class TestSubsetKnown:

@@ -232,6 +232,16 @@ class TestRender:
         with pytest.raises(ValueError, match="decimal"):
             rc.render(b)
 
+    @pytest.mark.parametrize("constant", [rc.TAUTOLOGY, rc.CONTRADICTION])
+    def test_constant_without_property_unrenderable(self, constant):
+        """True and false are written with a declared property; with none,
+        no document would parse back."""
+        b = rc.KBBuilder()
+        b.declare_individual("i")
+        b.declare_sentence("S", constant, "i")
+        with pytest.raises(ValueError, match="without a declared property"):
+            rc.render(b)
+
 
 # ---------------------------------------------------------------------------
 # Diagnostics pinned from the engine whose DSL repeated the builder's checks
