@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
@@ -301,6 +301,9 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
+        for x in (self.lo, self.hi):
+            if isinstance(x, float):  # 0.1 is not 1/10
+                raise ValidationError(f"inexact endpoint {x!r}: use a Fraction or a decimal string")
         lo, hi = Fraction(self.lo), Fraction(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -309,7 +312,6 @@ class Interval:
 
     @classmethod
     def point(cls, x) -> "Interval":
-        x = Fraction(x)
         return cls(x, x)
 
     @property
@@ -588,13 +590,13 @@ class ClosedKB:
     property_atoms: frozenset[str]
     individuals: frozenset[str]
     statements: tuple[Statement, ...]
-    generators: Mapping[str, tuple[tuple[str, ...], ...]]
-    tops: Mapping[str, CanonicalClass]
+    generators: Mapping[str, tuple[tuple[str, ...], ...]] = field(hash=False)
+    tops: Mapping[str, CanonicalClass] = field(hash=False)
     subset_edges: frozenset[tuple[CanonicalClass, CanonicalClass]]
-    subset_reach: Mapping[CanonicalClass, frozenset[CanonicalClass]]
-    sentence_groups: Mapping[str, frozenset[str]]
-    sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]]
-    stats: Mapping[tuple[tuple[str, ...], CanonicalProperty], Interval]
+    subset_reach: Mapping[CanonicalClass, frozenset[CanonicalClass]] = field(hash=False)
+    sentence_groups: Mapping[str, frozenset[str]] = field(hash=False)
+    sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]] = field(hash=False)
+    stats: Mapping[tuple[tuple[str, ...], CanonicalProperty], Interval] = field(hash=False)
 
     def known_memberships(self, individual: str) -> frozenset[CanonicalClass]:
         """U and every union of the individual's generators."""

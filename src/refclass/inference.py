@@ -11,7 +11,8 @@ once per membership profile; `explain` lists every known class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from functools import cache
+from typing import Optional
 
 from .core import (
     UNIT,
@@ -72,9 +73,10 @@ class ProbResult:
     @classmethod
     def of(cls, interval: Interval, selected: CanonicalClass,
            form: tuple[CanonicalProperty, str]) -> "ProbResult":
-        return cls(True, interval=interval, selected=selected, form=form)
+        return cls(True, interval, selected, form)
 
     @classmethod
+    @cache  # one shared instance per reason
     def undefined(cls, reason: str) -> "ProbResult":
         return cls(False, reason=reason)
 
@@ -181,16 +183,6 @@ class Trace:
         }
 
 
-def _stat_rows(gens: tuple, top: CanonicalClass, index: Optional[Mapping]) -> list[TableRow]:
-    """Rows for the indexed classes known from `gens`, in table order."""
-    if not index:
-        return []
-    rows = [TableRow(cls, iv) for cls, iv in _classes_within(top.atoms, index)
-            if _covered(gens, frozenset(cls.atoms))]
-    rows.sort(key=lambda r: r.cls.sort_key())
-    return rows
-
-
 def _judged_form(ckb: ClosedKB, gens: tuple, top: CanonicalClass,
                  prop: CanonicalProperty, point: bool) -> tuple:
     """A membership profile's sparse table for `prop`, judged, and its
@@ -209,10 +201,12 @@ def _judged_form(ckb: ClosedKB, gens: tuple, top: CanonicalClass,
     if not prop.atoms:  # a tautology or a contradiction
         row = TableRow(top, ckb.effective_interval(top, prop))
         return (row,), (row.interval, top)
-    index = (ckb.point_index if point else ckb.stat_index).get(prop)
-    rows = _stat_rows(gens, top, index)
+    index = (ckb.point_index if point else ckb.stat_index).get(prop) or {}
+    rows = [TableRow(cls, iv) for cls, iv in _classes_within(top.atoms, index)
+            if _covered(gens, frozenset(cls.atoms))]
     if point and not rows:
         return (), NO_MEMBERSHIP
+    rows.sort(key=lambda r: r.cls.sort_key())  # table order
     rows = tuple(_judge(ckb, rows))
     live = survivors(rows)
     if live:
@@ -220,26 +214,51 @@ def _judged_form(ckb: ClosedKB, gens: tuple, top: CanonicalClass,
     return rows, ALL_ROWS_DELETED if point else (UNIT, top)
 
 
+def _form_entry(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
+                point: bool) -> tuple:
+    """A form's memo entry, (judged sparse rows, answer): judged once per
+    (generators, property, mode) and `ClosedKB`."""
+    key = ckb.generators[individual], prop, point
+    entry = ckb._judged.get(key)
+    if entry is None:
+        entry = ckb._judged[key] = _judged_form(ckb, key[0], ckb.tops[individual], prop, point)
+    return entry
+
+
+def _combine(ckb: ClosedKB, forms: tuple, point: bool) -> ProbResult:
+    """A sentence's result from its forms' memoised answers: the first
+    defined form's, unless another defined form's interval differs from it."""
+    if not forms:
+        return ProbResult.undefined(NO_SENTENCE_FORM)
+    answers = [_form_entry(ckb, prop, ind, point)[1] for prop, ind in forms]
+    chosen = None
+    for form, answer in zip(forms, answers):
+        if isinstance(answer, str):
+            continue
+        if chosen is None:
+            chosen = form, answer
+        elif answer[0] != chosen[1][0]:
+            return ProbResult.undefined(CONFLICTING_EQUIVALENT_FORMS)
+    if chosen is None:
+        return ProbResult.undefined(
+            ALL_ROWS_DELETED if ALL_ROWS_DELETED in answers else NO_MEMBERSHIP)
+    form, (interval, selected) = chosen
+    return ProbResult.of(interval, selected, form)
+
+
 def _eval_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
                point: bool) -> FormTrace:
-    """One form's sparse table and result: judged once per (generators,
-    property, mode) and `ClosedKB`, named after the individual asked about."""
-    gens = ckb.generators[individual]
-    judged = ckb._judged.get((gens, prop, point))
-    if judged is None:
-        judged = ckb._judged[gens, prop, point] = _judged_form(
-            ckb, gens, ckb.tops[individual], prop, point)
-    rows, answer = judged
-    if isinstance(answer, str):
-        return FormTrace(prop, individual, rows, ProbResult.undefined(answer))
-    return FormTrace(prop, individual, rows, ProbResult.of(*answer, (prop, individual)))
+    """One form's sparse table and result, named after the individual asked
+    about: `explain`'s trace of the form, before padding."""
+    rows = _form_entry(ckb, prop, individual, point)[0]
+    return FormTrace(prop, individual, rows, _combine(ckb, ((prop, individual),), point))
 
 
-def _padded(ckb: ClosedKB, ft: FormTrace, mode: str) -> FormTrace:
+def _padded(ckb: ClosedKB, ft: FormTrace, point: bool) -> FormTrace:
     """The form's trace over the dense table: every known class in table
     order, those left out of the sparse table as live rows."""
     prop = ft.prop
-    if mode == "point" and prop.atoms:
+    if point and prop.atoms:
         return ft
     # a class left out has [0, 1], or the pinned value of a tautology or a
     # contradiction; U never carries a stat, so its interval is that value
@@ -250,48 +269,27 @@ def _padded(ckb: ClosedKB, ft: FormTrace, mode: str) -> FormTrace:
     return FormTrace(prop, ft.individual, rows, ft.result)
 
 
-def _combine_forms(form_traces: list[FormTrace]) -> ProbResult:
-    defined = [t.result for t in form_traces if t.result.defined]
-    if defined:
-        first = defined[0]
-        for other in defined[1:]:
-            if other.interval != first.interval:
-                return ProbResult.undefined(CONFLICTING_EQUIVALENT_FORMS)
-        return first
-    reasons = [t.result.reason for t in form_traces]
-    if ALL_ROWS_DELETED in reasons:
-        return ProbResult.undefined(ALL_ROWS_DELETED)
-    return ProbResult.undefined(NO_MEMBERSHIP)
-
-
-def _evaluate(ckb: ClosedKB, sentence: str, mode: str) -> Trace:
-    forms = ckb.sentence_forms.get(sentence)
-    if not forms:
-        res = ProbResult.undefined(NO_SENTENCE_FORM)
-        return Trace(sentence, mode, (), res)
-    point = mode == "point"
-    form_traces = [_eval_form(ckb, prop, ind, point) for prop, ind in forms]
-    return Trace(sentence, mode, tuple(form_traces), _combine_forms(form_traces))
-
-
 def prob_point(ckb: ClosedKB, sentence: str) -> ProbResult:
     """Prob(S, K) in point mode: exact values, may be undefined."""
-    return _evaluate(ckb, sentence, "point").result
+    return _combine(ckb, ckb.sentence_forms.get(sentence, ()), True)
 
 
 def prob_interval(ckb: ClosedKB, sentence: str) -> ProbResult:
     """Prob(S, K) in interval mode: total on formed sentences."""
-    return _evaluate(ckb, sentence, "interval").result
+    return _combine(ckb, ckb.sentence_forms.get(sentence, ()), False)
 
 
 def explain(ckb: ClosedKB, sentence: str, mode: str = "interval") -> Trace:
     """Full evaluation trace: forms tried, tables, deletions, resolution.
 
-    The result comes from the sparse tables; each form's rows are listed
-    over every known class, as the dense table has them.
+    The result comes from the sparse tables, as `prob_*` compute it; each
+    form's rows are listed over every known class, as the dense table has
+    them.
     """
     if mode not in ("point", "interval"):
         raise ValueError(f"mode must be 'point' or 'interval', got {mode!r}")
-    trace = _evaluate(ckb, sentence, mode)
-    forms = tuple(_padded(ckb, ft, mode) for ft in trace.forms)
-    return Trace(sentence, mode, forms, trace.result)
+    point, forms = mode == "point", ckb.sentence_forms.get(sentence, ())
+    traces = [_eval_form(ckb, prop, ind, point) for prop, ind in forms]
+    # a lone form's result, combined over that form alone, is the sentence's
+    result = traces[0].result if len(traces) == 1 else _combine(ckb, forms, point)
+    return Trace(sentence, mode, tuple(_padded(ckb, ft, point) for ft in traces), result)

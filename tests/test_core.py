@@ -1,11 +1,14 @@
 """kb-core: canonicalization, statement assertion, deductive closure."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
 import refclass as rc
 from conftest import coin_builder, oracle_prop_table
+
+KBS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "kbs")
 
 
 def cls(*atoms):
@@ -132,6 +135,19 @@ class TestInterval:
         with pytest.raises(rc.ValidationError):
             rc.Interval(Fraction(-1, 10), Fraction(1, 2))
 
+    def test_float_endpoints_rejected(self):
+        # a float is a binary fraction: 0.1 would be stored as 3602879701896397/2**55
+        msg = r"^inexact endpoint 0\.2: use a Fraction or a decimal string$"
+        with pytest.raises(rc.ValidationError, match=msg):
+            rc.Interval(Fraction(1, 10), 0.2)
+        with pytest.raises(rc.ValidationError, match=r"^inexact endpoint 0\.1: "):
+            rc.Interval(0.1, 0.2)
+        with pytest.raises(rc.ValidationError, match=r"^inexact endpoint 0\.5: "):
+            rc.Interval.point(0.5)
+        assert rc.Interval("0.1", "0.2") == rc.Interval(Fraction(1, 10), Fraction(1, 5))
+        assert rc.Interval.point("0.5") == rc.Interval(Fraction(1, 2), Fraction(1, 2))
+        assert rc.Interval(0, 1) == rc.UNIT
+
     def test_reflect(self):
         iv = rc.Interval(Fraction(1, 10), Fraction(2, 5))
         assert iv.reflect() == rc.Interval(Fraction(3, 5), Fraction(9, 10))
@@ -213,6 +229,14 @@ class TestAssert:
 
 
 class TestClose:
+    def test_equal_closures_hash_equally(self):
+        with open(os.path.join(KBS_DIR, "coin.rck"), encoding="utf-8") as fh:
+            text = fh.read()
+        a, b = rc.parse_kb(text).close(), rc.parse_kb(text).close()
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_membership_intersection_closure(self):
         b = rc.KBBuilder()
         b.declare_class("tosses")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import refclass as rc
+from refclass import inference
 from refclass.inference import _eval_form
 from conftest import oracle_evaluate, random_profile_builder, random_sane_kbs
 from test_sparse import KBS
@@ -75,6 +76,31 @@ def test_shuffled_queries_match_dense_evaluation():
                     assert a.rows is b.rows and a.individual == ind and b.individual == other
                     shared += 1
     assert shared >= 200
+
+
+def test_warm_queries_build_no_trace_objects(monkeypatch):
+    """Once a sentence's forms are judged, `prob_point` and `prob_interval`
+    answer from the memo alone: no row, form trace or trace is built."""
+    expected = {}
+    for k, (_, ckb) in enumerate(PROFILE_KBS):
+        for sentence in sorted(ckb.sentence_forms) + ["no-such-sentence"]:
+            for call in ("interval", "point"):
+                expected[k, sentence, call] = oracle_evaluate(ckb, sentence, call).result
+                _call(ckb, call, sentence)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a warm query built a trace object")
+
+    for name in ("FormTrace", "Trace", "TableRow"):
+        monkeypatch.setattr(inference, name, built)
+    kinds = set()
+    for (k, sentence, call), want in expected.items():
+        got = _call(PROFILE_KBS[k][1], call, sentence)
+        assert got == want
+        assert got.defined or got is rc.ProbResult.undefined(got.reason)
+        kinds.add(got.reason or "defined")
+    assert kinds == {"defined", rc.NO_SENTENCE_FORM, rc.NO_MEMBERSHIP,
+                     rc.ALL_ROWS_DELETED, rc.CONFLICTING_EQUIVALENT_FORMS}, kinds
 
 
 def test_equal_memberships_share_one_generator_tuple():
