@@ -50,8 +50,8 @@ def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     try:
         return parse_kb(text)
@@ -157,25 +157,19 @@ def cmd_check(args) -> int:
 def cmd_dump(args) -> int:
     builder = _load(args.kb)
     ckb = _close(builder)
-    memberships = {
-        ind: sorted(str(c) for c in ckb.known_memberships(ind))
-        for ind in sorted(ckb.individuals)
-    }
-    subsets = sorted(
-        f"{a} < {b}" for a, b in ckb.subset_pairs
-    )
+    # json.dumps(sort_keys=True) orders every dict below by key
+    memberships = {ind: sorted(map(str, ckb.known_memberships(ind))) for ind in ckb.individuals}
+    subsets = sorted(f"{a} < {b}" for a, b in ckb.subset_pairs)
     stats = {
         f"%({CanonicalClass(atoms)}, {prop.describe()})": [str(iv.lo), str(iv.hi)]
-        for (atoms, prop), iv in sorted(
-            ckb.stats.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())
-        )
+        for (atoms, prop), iv in ckb.stats.items()
     }
     sentences = {
         label: {
             "group": sorted(ckb.sentence_groups[label]),
-            "forms": [f"{p.describe()}({i})" for p, i in ckb.sentence_forms[label]],
+            "forms": [f"{p.describe()}({i})" for p, i in forms],
         }
-        for label in sorted(ckb.sentence_forms)
+        for label, forms in ckb.sentence_forms.items()
     }
     payload = {
         "classes": sorted(ckb.class_atoms),

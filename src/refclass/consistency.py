@@ -52,9 +52,8 @@ def sanity_check(ckb: ClosedKB) -> SanityReport:
         report.violations.append(f"subset cycle through class {cls}")
     # Membership/subset coherence: asserted inclusion without the implied
     # membership is flagged as missing knowledge, not an error.
-    edges = [(sub, sup, frozenset(sub.atoms), frozenset(sup.atoms))
-             for sub, sup in sorted(ckb.subset_edges,
-                                    key=lambda p: (p[0].sort_key(), p[1].sort_key()))]
+    edges = [(s.sub, s.sup, frozenset(s.sub.atoms), frozenset(s.sup.atoms))
+             for s in ckb.statements if isinstance(s, Subset)]
     for ind in sorted(ckb.individuals):
         gens = ckb.generators[ind]
         top = frozenset(ckb.tops[ind].atoms)

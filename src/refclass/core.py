@@ -459,19 +459,18 @@ class KBBuilder:
                     interval: Interval) -> None:
         self._require_class(cls)
         self._require_property(prop)
-        s = Stat(cls, prop, interval)
-        self._stats[(cls.atoms, prop.sort_key(), interval.lo, interval.hi)] = s
+        key = cls.sort_key(), prop.sort_key(), interval.lo, interval.hi
+        self._stats[key] = Stat(cls, prop, interval)
 
     def assert_member(self, individual: str, cls: CanonicalClass) -> None:
         _check_declared("individual", individual, self.individuals)
         self._require_class(cls)
-        self._members[(individual, cls.atoms)] = Member(individual, cls)
+        self._members[(individual, cls.sort_key())] = Member(individual, cls)
 
     def assert_subset(self, sub: CanonicalClass, sup: CanonicalClass) -> None:
         self._require_class(sub)
         self._require_class(sup)
-        s = Subset(sub, sup)
-        self._subsets[(sub.atoms, sup.atoms)] = s
+        self._subsets[(sub.sort_key(), sup.sort_key())] = Subset(sub, sup)
 
     def assert_equiv(self, s1: str, s2: str) -> None:
         for label in (s1, s2):
@@ -504,22 +503,30 @@ class KBBuilder:
             _check_declared("property", atom, self.property_atoms)
 
     # -- views used by close() and the DSL renderer --------------------
+    # Each lists its statements in canonical order, the order of
+    # ClosedKB.statements and of `render`, whatever order they were asserted
+    # in: the statement dicts are keyed by the canonical sort keys, and
+    # sentence forms are listed by label.
 
     @property
     def stats(self) -> list[Stat]:
-        return list(self._stats.values())
+        return [self._stats[k] for k in sorted(self._stats)]
 
     @property
     def members(self) -> list[Member]:
-        return list(self._members.values())
+        return [self._members[k] for k in sorted(self._members)]
 
     @property
     def subsets(self) -> list[Subset]:
-        return list(self._subsets.values())
+        return [self._subsets[k] for k in sorted(self._subsets)]
+
+    @property
+    def forms(self) -> list[SentenceForm]:
+        return [SentenceForm(s, *self.sentence_forms[s]) for s in sorted(self.sentence_forms)]
 
     @property
     def equivs(self) -> list[SentenceEquiv]:
-        return list(self._equivs.values())
+        return [self._equivs[k] for k in sorted(self._equivs)]
 
     def close(self) -> "ClosedKB":
         return close(self)
@@ -562,12 +569,15 @@ class ClosedKB:
     inside it, an O(k) test for k generators; :meth:`table_classes` lists
     all 2^k.
 
+    ``statements`` records every asserted statement once, in the canonical
+    order of the builder's views: stats, members, subsets, sentence forms,
+    equivalences.  Its ``Subset`` statements are the asserted subsets.
+
     ``stat_index`` maps each property to the classes whose fused interval
-    for it is narrower than [0, 1] (atom tuple -> (class, interval));
-    ``point_index`` keeps the point-valued ones.  No other class can delete
-    a row, be deleted or win resolution, so queries read only these.  Both
-    are built on the first query, since the model finder, `check` and
-    `dump` never read them.
+    for it is narrower than [0, 1] (atom tuple -> (class, interval)).  No
+    other class can delete a row, be deleted or win resolution, so queries
+    read only these.  It is built on the first query, since the model
+    finder, `check` and `dump` never read it.
 
     ``subset_reach`` maps each asserted subclass to the asserted
     superclasses reachable from it by asserted hops joined by atom-superset
@@ -592,7 +602,6 @@ class ClosedKB:
     statements: tuple[Statement, ...]
     generators: Mapping[str, tuple[tuple[str, ...], ...]] = field(hash=False)
     tops: Mapping[str, CanonicalClass] = field(hash=False)
-    subset_edges: frozenset[tuple[CanonicalClass, CanonicalClass]]
     subset_reach: Mapping[CanonicalClass, frozenset[CanonicalClass]] = field(hash=False)
     sentence_groups: Mapping[str, frozenset[str]] = field(hash=False)
     sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]] = field(hash=False)
@@ -638,26 +647,17 @@ class ClosedKB:
         return index
 
     @cached_property
-    def point_index(self) -> StatIndex:
-        """The point-valued entries of :attr:`stat_index`."""
-        index: StatIndex = {}
-        for p, entries in self.stat_index.items():
-            points = {atoms: entry for atoms, entry in entries.items() if entry[1].is_point}
-            if points:
-                index[p] = points
-        return index
-
-    @cached_property
     def universe(self) -> frozenset[CanonicalClass]:
         """The mentioned classes: U, every known membership, and the classes
         of stats and asserted subsets."""
         atom_sets = {frozenset()}
         for gens in set(self.generators.values()):
             atom_sets |= _union_closure(gens)
-        atom_sets.update(frozenset(s.cls.atoms) for s in self.statements if isinstance(s, Stat))
-        for sub, sup in self.subset_edges:
-            atom_sets.add(frozenset(sub.atoms))
-            atom_sets.add(frozenset(sup.atoms))
+        for s in self.statements:
+            if isinstance(s, Stat):
+                atom_sets.add(frozenset(s.cls.atoms))
+            elif isinstance(s, Subset):
+                atom_sets.update((frozenset(s.sub.atoms), frozenset(s.sup.atoms)))
         return frozenset(CanonicalClass._from_sorted(tuple(sorted(a))) for a in atom_sets)
 
     @cached_property
@@ -786,9 +786,8 @@ def close(builder: KBBuilder) -> ClosedKB:
     tops = dict.fromkeys(builder.individuals, UNIVERSAL)
     shared: dict[tuple, tuple] = {}
     top_classes: dict[frozenset[str], CanonicalClass] = {}
-    by_individual = attrgetter("individual")
-    for ind, group in itertools.groupby(sorted(builder.members, key=by_individual),
-                                        key=by_individual):
+    members = builder.members  # grouped by individual
+    for ind, group in itertools.groupby(members, key=attrgetter("individual")):
         gens = tuple(sorted(m.cls.atoms for m in group))
         generators[ind] = gens = shared.setdefault(gens, gens)
         top = frozenset().union(*gens)
@@ -810,7 +809,8 @@ def close(builder: KBBuilder) -> ClosedKB:
             x = parent[x]
         return x
 
-    for eq in builder.equivs:
+    equivs = builder.equivs
+    for eq in equivs:
         ra, rb = find(eq.s1), find(eq.s2)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -829,8 +829,9 @@ def close(builder: KBBuilder) -> ClosedKB:
             sentence_groups[s], sentence_forms[s] = group, forms
 
     # fused statistics: direct ∩ reflected-complement ∩ default (∩ pinned)
+    stats = builder.stats
     by_key: dict[tuple[tuple[str, ...], CanonicalProperty], list[Interval]] = {}
-    for s in builder.stats:
+    for s in stats:
         by_key.setdefault((s.cls.atoms, s.prop), []).append(s.interval)
     fused: dict[tuple[tuple[str, ...], CanonicalProperty], Interval] = {}
     keys = set(by_key)
@@ -850,27 +851,13 @@ def close(builder: KBBuilder) -> ClosedKB:
             raise InconsistencyError(CanonicalClass(atoms), p)
         fused[(atoms, p)] = iv
 
-    statements: list[Statement] = []
-    statements.extend(sorted(
-        builder.stats,
-        key=lambda s: (s.cls.sort_key(), s.prop.sort_key(), s.interval.lo, s.interval.hi),
-    ))
-    statements.extend(sorted(builder.members, key=lambda m: (m.individual, m.cls.sort_key())))
-    statements.extend(sorted(builder.subsets, key=lambda s: (s.sub.sort_key(), s.sup.sort_key())))
-    statements.extend(
-        SentenceForm(label, prop, ind)
-        for label, (prop, ind) in sorted(builder.sentence_forms.items())
-    )
-    statements.extend(sorted(builder.equivs, key=lambda e: (e.s1, e.s2)))
-
     return ClosedKB(
         class_atoms=frozenset(builder.class_atoms),
         property_atoms=frozenset(builder.property_atoms),
         individuals=frozenset(builder.individuals),
-        statements=tuple(statements),
+        statements=(*stats, *members, *subsets, *builder.forms, *equivs),
         generators=generators,
         tops=tops,
-        subset_edges=frozenset((s.sub, s.sup) for s in subsets),
         subset_reach=reach,
         sentence_groups=sentence_groups,
         sentence_forms=sentence_forms,

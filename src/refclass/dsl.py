@@ -397,19 +397,14 @@ def render(builder: KBBuilder) -> str:
     Raises ValueError for a number with no finite decimal expansion, and
     for a tautology or contradiction in a KB that declares no property."""
     lines: list[str] = []
-    for name in sorted(builder.class_atoms):
-        lines.append(f"class {name}")
-    for name in sorted(builder.property_atoms):
-        lines.append(f"property {name}")
-    for name in sorted(builder.individuals):
-        lines.append(f"individual {name}")
+    for kind, names in (("class", builder.class_atoms), ("property", builder.property_atoms),
+                        ("individual", builder.individuals)):
+        lines.extend(f"{kind} {name}" for name in sorted(names))
     fallback = min(builder.property_atoms, default=None)
-    for label in sorted(builder.sentence_forms):
-        prop, ind = builder.sentence_forms[label]
-        lines.append(f"sentence {label} iff {_render_property(prop, fallback)}({ind})")
-    for s in sorted(builder.stats,
-                    key=lambda s: (s.cls.sort_key(), s.prop.sort_key(),
-                                   s.interval.lo, s.interval.hi)):
+    for f in builder.forms:
+        prop = _render_property(f.prop, fallback)
+        lines.append(f"sentence {f.sentence} iff {prop}({f.individual})")
+    for s in builder.stats:
         cls = " & ".join(s.cls.atoms)
         prop = _render_property(s.prop, fallback)
         if s.interval.is_point:
@@ -419,10 +414,8 @@ def render(builder: KBBuilder) -> str:
                 f"stat %({cls}, {prop}) in "
                 f"[{_render_number(s.interval.lo)}, {_render_number(s.interval.hi)}]"
             )
-    for m in sorted(builder.members, key=lambda m: (m.individual, m.cls.sort_key())):
-        lines.append(f"member {m.individual} in {' & '.join(m.cls.atoms)}")
-    for s in sorted(builder.subsets, key=lambda s: (s.sub.sort_key(), s.sup.sort_key())):
-        lines.append(f"subset {' & '.join(s.sub.atoms)} < {' & '.join(s.sup.atoms)}")
-    for e in sorted(builder.equivs, key=lambda e: (e.s1, e.s2)):
-        lines.append(f"equiv {e.s1} {e.s2}")
+    lines.extend(f"member {m.individual} in {' & '.join(m.cls.atoms)}" for m in builder.members)
+    lines.extend(f"subset {' & '.join(s.sub.atoms)} < {' & '.join(s.sup.atoms)}"
+                 for s in builder.subsets)
+    lines.extend(f"equiv {e.s1} {e.s2}" for e in builder.equivs)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -183,10 +183,10 @@ class Trace:
         }
 
 
-def _judged_form(ckb: ClosedKB, gens: tuple, top: CanonicalClass,
-                 prop: CanonicalProperty, point: bool) -> tuple:
-    """A membership profile's sparse table for `prop`, judged, and its
-    answer: (interval, selected class), or the reason it is undefined.
+def _judged_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
+                 point: bool) -> tuple:
+    """The sparse table for `prop` of the individual's membership profile,
+    judged, and its answer: (interval, selected class), or why it is undefined.
 
     The dense table has a row per known class, but a [0, 1] row never
     differs, so it is never deleted, never a witness, and loses resolution
@@ -198,12 +198,14 @@ def _judged_form(ckb: ClosedKB, gens: tuple, top: CanonicalClass,
     or a contradiction every known class has the pinned value, and the
     table is the top class alone.
     """
+    top = ckb.tops[individual]
     if not prop.atoms:  # a tautology or a contradiction
         row = TableRow(top, ckb.effective_interval(top, prop))
         return (row,), (row.interval, top)
-    index = (ckb.point_index if point else ckb.stat_index).get(prop) or {}
-    rows = [TableRow(cls, iv) for cls, iv in _classes_within(top.atoms, index)
-            if _covered(gens, frozenset(cls.atoms))]
+    gens = ckb.generators[individual]
+    rows = [TableRow(cls, iv)
+            for cls, iv in _classes_within(top.atoms, ckb.stat_index.get(prop) or {})
+            if (not point or iv.is_point) and _covered(gens, frozenset(cls.atoms))]
     if point and not rows:
         return (), NO_MEMBERSHIP
     rows.sort(key=lambda r: r.cls.sort_key())  # table order
@@ -221,7 +223,7 @@ def _form_entry(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
     key = ckb.generators[individual], prop, point
     entry = ckb._judged.get(key)
     if entry is None:
-        entry = ckb._judged[key] = _judged_form(ckb, key[0], ckb.tops[individual], prop, point)
+        entry = ckb._judged[key] = _judged_form(ckb, prop, individual, point)
     return entry
 
 
@@ -246,27 +248,20 @@ def _combine(ckb: ClosedKB, forms: tuple, point: bool) -> ProbResult:
     return ProbResult.of(interval, selected, form)
 
 
-def _eval_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
-               point: bool) -> FormTrace:
-    """One form's sparse table and result, named after the individual asked
-    about: `explain`'s trace of the form, before padding."""
+def _form_trace(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
+                point: bool) -> FormTrace:
+    """`explain`'s trace of one form, named after the individual asked
+    about: its judged rows, padded to the dense table (every known class in
+    table order) unless point mode left out only [0, 1] rows, and its result."""
     rows = _form_entry(ckb, prop, individual, point)[0]
+    if not point or not prop.atoms:
+        # a class left out has [0, 1], or the pinned value of a tautology or
+        # a contradiction; U never carries a stat, so its interval is that value
+        left_out = ckb.effective_interval(UNIVERSAL, prop)
+        judged = {r.cls.atoms: r for r in rows}
+        rows = tuple(judged.get(c.atoms) or TableRow(c, left_out)
+                     for c in ckb.table_classes(individual))
     return FormTrace(prop, individual, rows, _combine(ckb, ((prop, individual),), point))
-
-
-def _padded(ckb: ClosedKB, ft: FormTrace, point: bool) -> FormTrace:
-    """The form's trace over the dense table: every known class in table
-    order, those left out of the sparse table as live rows."""
-    prop = ft.prop
-    if point and prop.atoms:
-        return ft
-    # a class left out has [0, 1], or the pinned value of a tautology or a
-    # contradiction; U never carries a stat, so its interval is that value
-    left_out = ckb.effective_interval(UNIVERSAL, prop)
-    judged = {r.cls.atoms: r for r in ft.rows}
-    rows = tuple(judged.get(c.atoms) or TableRow(c, left_out)
-                 for c in ckb.table_classes(ft.individual))
-    return FormTrace(prop, ft.individual, rows, ft.result)
 
 
 def prob_point(ckb: ClosedKB, sentence: str) -> ProbResult:
@@ -289,7 +284,7 @@ def explain(ckb: ClosedKB, sentence: str, mode: str = "interval") -> Trace:
     if mode not in ("point", "interval"):
         raise ValueError(f"mode must be 'point' or 'interval', got {mode!r}")
     point, forms = mode == "point", ckb.sentence_forms.get(sentence, ())
-    traces = [_eval_form(ckb, prop, ind, point) for prop, ind in forms]
+    traces = tuple(_form_trace(ckb, prop, ind, point) for prop, ind in forms)
     # a lone form's result, combined over that form alone, is the sentence's
     result = traces[0].result if len(traces) == 1 else _combine(ckb, forms, point)
-    return Trace(sentence, mode, tuple(_padded(ckb, ft, point) for ft in traces), result)
+    return Trace(sentence, mode, traces, result)

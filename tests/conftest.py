@@ -386,6 +386,11 @@ def random_sane_kbs(
 # ---------------------------------------------------------------------------
 
 
+def asserted_subsets(ckb: rc.ClosedKB) -> list[tuple[rc.CanonicalClass, rc.CanonicalClass]]:
+    """The asserted subset edges (sub, sup), read from the statements."""
+    return [(s.sub, s.sup) for s in ckb.statements if isinstance(s, rc.Subset)]
+
+
 def oracle_subset_known(ckb: rc.ClosedKB, c1: rc.CanonicalClass,
                         c2: rc.CanonicalClass) -> bool:
     """Brute-force known proper inclusion: a search from c1 for c2 over
@@ -396,6 +401,7 @@ def oracle_subset_known(ckb: rc.ClosedKB, c1: rc.CanonicalClass,
     if set(c1.atoms) > set(c2.atoms):
         return True
     nodes = set(ckb.universe) | {c1, c2}
+    asserted = set(asserted_subsets(ckb))
     seen = {c1}
     frontier = [c1]
     while frontier:
@@ -403,7 +409,7 @@ def oracle_subset_known(ckb: rc.ClosedKB, c1: rc.CanonicalClass,
         for nxt in nodes:
             if nxt in seen:
                 continue
-            if set(cur.atoms) > set(nxt.atoms) or (cur, nxt) in ckb.subset_edges:
+            if set(cur.atoms) > set(nxt.atoms) or (cur, nxt) in asserted:
                 if nxt == c2:
                     return True
                 seen.add(nxt)
@@ -416,7 +422,7 @@ def oracle_subset_closure(ckb: rc.ClosedKB):
     ones, closed by a search from each class.  Returns (pairs, classes on a
     cycle)."""
     edges = {c: set() for c in ckb.universe}
-    for sub, sup in ckb.subset_edges:
+    for sub, sup in asserted_subsets(ckb):
         edges[sub].add(sup)
     for a in ckb.universe:
         for b in ckb.universe:

@@ -182,6 +182,19 @@ class TestCheck:
         assert not payload["ok"]
 
 
+@pytest.mark.parametrize("command", [["check"], ["eval", "--query", "S"]])
+@pytest.mark.parametrize("content", [None, b"class a\n# caf\xe9\n"],
+                         ids=["missing", "not-utf-8"])
+def test_unreadable_kb_is_one_error_line(command, content, tmp_path, capsys):
+    path = tmp_path / "kb.rck"
+    if content is not None:
+        path.write_bytes(content)
+    assert run([command[0], str(path), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestDump:
     def test_coin(self, kb_file, capsys):
         code = run(["dump", kb_file(COIN), "--json"])

@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refclass as rc
-from conftest import closure_signature, coin_builder, oracle_parse_kb
+from conftest import (
+    closure_signature,
+    coin_builder,
+    oracle_parse_kb,
+    random_builder,
+    random_profile_builder,
+    random_subset_builder,
+)
 from refclass.dsl import KEYWORDS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -241,6 +249,81 @@ class TestRender:
         b.declare_sentence("S", constant, "i")
         with pytest.raises(ValueError, match="without a declared property"):
             rc.render(b)
+
+
+# ---------------------------------------------------------------------------
+# One canonical statement order, whatever the assertion order
+# ---------------------------------------------------------------------------
+
+CANONICAL_KEYS = {
+    "stats": lambda s: (s.cls.sort_key(), s.prop.sort_key(), s.interval.lo, s.interval.hi),
+    "members": lambda m: (m.individual, m.cls.sort_key()),
+    "subsets": lambda s: (s.sub.sort_key(), s.sup.sort_key()),
+    "forms": lambda f: f.sentence,
+    "equivs": lambda e: (e.s1, e.s2),
+}
+
+
+def _views(b):
+    return {name: getattr(b, name) for name in CANONICAL_KEYS}
+
+
+def _reasserted(b, order):
+    """A fresh builder with b's declarations and statements, the statements
+    asserted in the order `order` puts them in (sentence forms first, since
+    an equivalence needs its sentences declared)."""
+    out = rc.KBBuilder()
+    for declare, names in ((out.declare_class, b.class_atoms),
+                           (out.declare_property, b.property_atoms),
+                           (out.declare_individual, b.individuals)):
+        for name in order(sorted(names)):
+            declare(name)
+    forms = [rc.SentenceForm(label, p, ind) for label, (p, ind) in b.sentence_forms.items()]
+    for s in order(forms) + order(b.stats + b.members + b.subsets + b.equivs):
+        out.assert_statement(s)
+    return out
+
+
+def _rendered(b):
+    try:
+        return rc.render(b)
+    except ValueError as e:  # a value with no finite decimal expansion
+        return f"ValueError: {e}"
+
+
+def test_builder_views_are_canonical_in_any_assertion_order():
+    """The builder's views come out in one canonical order, the order of
+    `ClosedKB.statements` and of `render`, however the statements were
+    asserted."""
+    rng = random.Random(141)
+    orders = (lambda xs: xs[::-1], lambda xs: rng.sample(xs, len(xs)))
+    closed = 0
+    for make in (lambda r: random_builder(r, allow_equiv=True),
+                 random_subset_builder, random_profile_builder):
+        for _ in range(40):
+            b = make(rng)
+            if b is None:
+                continue
+            views = _views(b)
+            for name, key in CANONICAL_KEYS.items():
+                assert views[name] == sorted(views[name], key=key), name
+            text = _rendered(b)
+            for order in orders:
+                again = _reasserted(b, order)
+                assert _views(again) == views
+                assert _rendered(again) == text
+            try:
+                statements = b.close().statements
+            except rc.InconsistencyError:
+                continue
+            closed += 1
+            start = 0
+            for name in CANONICAL_KEYS:
+                view = views[name]
+                assert statements[start:start + len(view)] == tuple(view), name
+                start += len(view)
+            assert start == len(statements)
+    assert closed >= 80
 
 
 # ---------------------------------------------------------------------------
