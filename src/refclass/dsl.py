@@ -12,13 +12,20 @@ Grammar (one declaration/statement per line; `#` starts a comment):
     classexpr := ID ("&" ID)*
     propexpr  := unary ("&" unary)*;  unary := "!" unary | "(" propexpr ")" | ID
 
-Numbers are decimals in [0,1], parsed to exact rationals.  Identifiers are
-``[A-Za-z_][A-Za-z0-9_]*`` other than the keywords; ``U`` names the universal
-class, so no class can be declared with that name.
+Numbers are ASCII decimals (``[0-9]``) in [0,1], parsed to exact rationals.
+Identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` other than the keywords; ``U`` names
+the universal class, so no class can be declared with that name.
 
 The DSL checks syntax and number ranges, and that a sentence label is declared
 once.  Every other rule, and its message, belongs to :mod:`refclass.core`; the
 parser calls it at the token it applies to.
+
+`parse_kb` splits a document where `str.splitlines` does.  A line in one of
+the flat shapes `render` writes, with single spaces and no comment
+(``class a``, ``member i in a & b``, ``sentence S iff !p(i)``), goes straight
+to the builder calls the token parser would make.  Every other line, and a
+flat line the builder or the duplicate-label check rejects, is tokenized and
+parsed alone, so every diagnostic comes from the token parser.
 """
 
 from __future__ import annotations
@@ -45,13 +52,22 @@ from .core import (
 
 _BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # the line boundaries of str.splitlines
 
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # Whitespace and comments match without a group, so their `lastgroup` is None.
 _TOKEN_RE = re.compile(
     rf"(?P<eol>\r\n|[{_BREAKS}])|[^\S{_BREAKS}]+|#[^{_BREAKS}]*"
-    r"|(?P<num>\d+\.\d+|\.\d+|\d+)"
-    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<num>[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)"
+    rf"|(?P<id>{_ID})"
     r"|(?P<sym>[%()\[\],=<&!])"
     r"|(?P<bad>.)"
+)
+
+# The flat line shapes `render` writes, one space between tokens.
+_FLAT_RE = re.compile(
+    rf"(?P<decl>class|property|individual) (?P<name>{_ID})"
+    rf"|member (?P<ind>{_ID}) in (?P<atoms>{_ID}(?: & {_ID})*)"
+    rf"|sentence (?P<label>{_ID}) iff (?P<neg>!?)(?P<atom>{_ID})\((?P<of>{_ID})\)"
 )
 
 
@@ -80,11 +96,12 @@ class Token:
         self.kind, self.text, self.line, self.column = kind, text, line, column
 
 
-def _lines(text: str):
+def _lines(text: str, line: int = 1):
     """Yield each line's tokens, ending in an 'eol' token, and its first 'bad'
-    token or None, from one pass over `text`.  Lines end where str.splitlines
-    ends them; an empty last line is yielded too, and parses to nothing."""
-    line, offset, tokens, bad = 1, -1, [], None
+    token or None, from one pass over `text`, whose first line is numbered
+    `line`.  Lines end where str.splitlines ends them; an empty last line is
+    yielded too, and parses to nothing."""
+    offset, tokens, bad = -1, [], None
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
@@ -187,7 +204,9 @@ class _Parser:
         return CanonicalClass(tuple(sorted(atoms)))
 
     def prop_expr(self) -> CanonicalProperty:
-        tree = self._prop_tree()
+        return self.canonical_of(self._prop_tree())
+
+    def canonical_of(self, tree) -> CanonicalProperty:
         prop = self.canonical.get(tree)
         if prop is None:
             prop = self.canonical[tree] = canonicalize_property(tree)
@@ -285,6 +304,26 @@ class _Parser:
             self.at(tok, _check_declared, "sentence", tok.text, self.builder.sentence_forms)
         self.builder.assert_equiv(a.text, b.text)
 
+    def flat(self, m: re.Match) -> bool:
+        """Make the builder calls `parse_line` makes for a line `_FLAT_RE`
+        matched.  False, with the builder unchanged, if a check rejects it."""
+        b = self.builder
+        try:
+            if m["decl"]:
+                getattr(b, f"declare_{m['decl']}")(m["name"])
+            elif m["ind"]:
+                atoms = tuple(sorted(set(m["atoms"].split(" & "))))
+                b.assert_member(m["ind"], CanonicalClass(atoms))
+            elif m["label"] in b.sentence_forms:
+                return False
+            else:
+                tree = PropAtom(m["atom"])
+                prop = self.canonical_of(PropNot(tree) if m["neg"] else tree)
+                b.declare_sentence(m["label"], prop, m["of"])
+        except KBError:
+            return False
+        return True
+
     def query(self) -> str:
         if (self.cur.kind == "id" and self.cur.text not in KEYWORDS
                 and self.tokens[1].kind == "eol"):
@@ -316,11 +355,15 @@ def parse_kb(text: str) -> KBBuilder:
     line-level error found (parsing continues past bad lines)."""
     parser = _Parser(KBBuilder())
     errors: list[DslError] = []
-    for tokens, bad in _lines(text):
-        try:
-            parser.run(tokens, bad, _Parser.parse_line)
-        except DslError as e:
-            errors.append(e)
+    for number, line in enumerate(text.splitlines(), 1):
+        m = _FLAT_RE.fullmatch(line)
+        if m is not None and parser.flat(m):
+            continue
+        for tokens, bad in _lines(line, number):
+            try:
+                parser.run(tokens, bad, _Parser.parse_line)
+            except DslError as e:
+                errors.append(e)
     if errors:
         raise ParseFailure(errors)
     return parser.builder

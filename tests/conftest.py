@@ -613,7 +613,7 @@ def closure_signature(ckb: rc.ClosedKB):
 _LINE_TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>#.*)"
-    r"|(?P<num>\d+\.\d+|\.\d+|\d+)"
+    r"|(?P<num>[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)"
     r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<sym>%|\(|\)|\[|\]|,|=|<|&|!)"
 )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refclass as rc
+from refclass import dsl
 from conftest import (
     closure_signature,
     coin_builder,
@@ -360,6 +361,14 @@ def test_pinned_query_errors(query):
     assert [e.message, e.line, e.column] == PINNED["queries"][query]
 
 
+def test_numbers_are_ascii_decimals():
+    head = "class a\nproperty p\n"
+    assert _errors(head + "stat %(a, p) = \u0660.\u0665\n") == \
+        [["unexpected character '\u0660'", 3, 16]]
+    assert _errors(head + "stat %(a, p) = 0.5\u0661\n") == \
+        [["unexpected character '\u0661'", 3, 19]]
+
+
 # ---------------------------------------------------------------------------
 # Nesting deeper than the interpreter's stack
 # ---------------------------------------------------------------------------
@@ -471,8 +480,30 @@ ANY_LINE = st.one_of(GOOD_LINE, st.tuples(
     lambda t: t[0].join(t[1])))
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.one_of(document(GOOD_LINE), document(ANY_LINE)))
+# The flat shapes `parse_kb` hands straight to the builder; each parses once
+# after FUZZ_HEADER, in this order.
+FLAT_LINES = ["class c", "individual j", "member i in b & a", "member j in c & a & c",
+              "sentence T iff !q(i)", "sentence N iff p(j)", "property r"]
+# Lines that look flat but must go to the token parser.  After FUZZ_HEADER
+# alone it accepts those of the first group and rejects those of the second.
+NEAR_MISSES = [
+    "member i in b  & a", "member i in b\t& a", "member\ti in a", "\xa0class c",
+    "class c\xa0", "individual j # note", "class c#", "member i in a&b",
+    "sentence T iff ! q(i)", "sentence T iff !!q(i)", "sentence T iff (q)(i)",
+    "sentence T iff !q (i)", "sentence T iff !q( i )",
+] + [
+    "class U", "member j in U", "class class", "individual iff", "member in in a",
+    "member i in zz", "member i in p", "member zz in a", "sentence T iff zz(i)",
+    "sentence T iff a(i)", "sentence T iff q(zz)", "sentence iff iff p(i)",
+    "sentence S iff p(i)", "sentence S iff !q(i)", "property p", "individual i",
+    "individual 1j", "class c1 c2", "member i in", "sentence T iff q()",
+]
+FLAT_LINE = st.tuples(st.sampled_from(PADDING[:3]), st.sampled_from(FLAT_LINES + NEAR_MISSES),
+                      st.sampled_from(PADDING[:3])).map("".join)
+
+
+@settings(max_examples=900, deadline=None)
+@given(st.one_of(document(GOOD_LINE), document(ANY_LINE), document(FLAT_LINE)))
 def test_one_pass_parse_matches_per_line_parse(text):
     want, want_errors = oracle_parse_kb(text)
     try:
@@ -483,3 +514,72 @@ def test_one_pass_parse_matches_per_line_parse(text):
     else:
         assert not want_errors
         assert rc.render(got) == rc.render(want)
+
+
+def census_text(seed, individuals=1500):
+    """A census-shaped document: mostly flat lines, in `render`'s spacing or
+    not, some with a comment or another line break, among stats, subsets
+    and equivalences."""
+    rng = random.Random(seed)
+    atoms = [f"a{k:02d}" for k in range(12)]
+    lines = [f"class {a}" for a in atoms] + ["property p", "property q"]
+    for a in atoms:
+        lines.append(f"stat %({a}, p) = 0.{rng.randint(1, 9)}")
+        lines.append(f"stat %({a} & {rng.choice(atoms)}, !q & p) in [0.1, 0.{rng.randint(1, 9)}]")
+    for j in range(individuals):
+        lines.append(f"individual i{j}")
+        lines.append(f"sentence S{j} iff {rng.choice(['', '!'])}{rng.choice('pq')}(i{j})")
+        lines.append(f"member i{j} in " + " & ".join(rng.choices(atoms, k=rng.randint(1, 3))))
+        if j % 7 == 0:
+            lines.append(f"equiv S{j} S{rng.randrange(j + 1)}")
+    for _ in range(12):
+        x, y, z = rng.sample(atoms, 3)
+        lines.append(f"subset {x} & {y} < {z}")
+    for k in rng.sample(range(len(lines)), len(lines) // 50):
+        lines[k] = rng.choice(["", " ", "\t"]) + lines[k] + rng.choice([" # note", "\xa0", " "])
+    return "".join(line + rng.choice(["\n"] * 20 + LINE_BREAKS) for line in lines)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_census_document_matches_per_line_parse(seed):
+    text = census_text(seed)
+    assert len(text.splitlines()) > 4500
+    want, want_errors = oracle_parse_kb(text)
+    assert not want_errors
+    got = rc.parse_kb(text)
+    assert rc.render(got) == rc.render(want)
+    assert got.close() == want.close()
+
+
+@pytest.fixture
+def token_lines(monkeypatch):
+    """The line of every `dsl.Token` built while the fixture is in use."""
+    lines = []
+
+    class Token(dsl.Token):
+        __slots__ = ()
+
+        def __init__(self, kind, text, line, column):
+            lines.append(line)
+            super().__init__(kind, text, line, column)
+
+    monkeypatch.setattr(dsl, "Token", Token)
+    return lines
+
+
+def test_flat_lines_build_no_tokens(token_lines):
+    text = FUZZ_HEADER + "\n".join(FLAT_LINES) + "\n"
+    got = rc.parse_kb(text)
+    assert token_lines == []
+    want, want_errors = oracle_parse_kb(text)
+    assert not want_errors
+    assert rc.render(got) == rc.render(want)
+
+
+@pytest.mark.parametrize("line", ["stat %(a, p) = 0.5", "", "# note"] + NEAR_MISSES)
+def test_other_lines_build_tokens_for_themselves_only(token_lines, line):
+    try:
+        rc.parse_kb(FUZZ_HEADER + line + "\nclass d\nmember i in d & a\n")
+    except rc.ParseFailure:
+        pass
+    assert token_lines and set(token_lines) == {FUZZ_HEADER.count("\n") + 1}
