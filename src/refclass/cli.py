@@ -187,6 +187,17 @@ def cmd_dump(args) -> int:
     return EXIT_OK
 
 
+def _population_bound(text: str) -> int:
+    """`check --model N`: a population size of 1 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"population bound must be 1 or more, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refclass",
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run consistency checks")
     p_check.add_argument("kb", help="knowledge base file (.rck)")
-    p_check.add_argument("--model", type=int, metavar="N",
+    p_check.add_argument("--model", type=_population_bound, metavar="N",
                          help="also search for a finite model up to population size N")
     p_check.add_argument("--json", action="store_true", help="JSON output")
     p_check.set_defaults(func=cmd_check)

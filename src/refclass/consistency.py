@@ -4,9 +4,10 @@ The model finder searches for a finite population in which every asserted
 proportion statement holds with ``%`` read as a literal proportion, every
 membership and proper-inclusion statement holds extensionally, mentioned
 classes (and properties) have non-empty, pairwise-distinct extensions, and
-equivalent sentence forms agree in truth value.  Failure to find a model
-within the bound is not a proof of inconsistency; the bound is part of the
-verdict.
+equivalent sentence forms agree in truth value.  It searches bitmasks over
+the element types, with a pruned alphabet and one mask for the last slot.
+Failure to find a model within the bound is not a proof of inconsistency;
+the bound is part of the verdict.
 """
 
 from __future__ import annotations
@@ -181,15 +182,18 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     order, or None if the bound is exhausted.
 
     Sizes below the smallest class size some stat can hold at are skipped,
-    since no model has them.  Each candidate is tested from bitmasks over
-    the element types and from its type counts; only the one returned is
-    built as a FiniteModel, and :func:`verify_model` re-checks it.
+    since no model has them.  The alphabet drops the element types no model
+    can use: those in an asserted subset but not its superset, the hits of a
+    stat ``= 0`` and the misses of a stat ``= 1``; a class or a distinction
+    left with no type refutes the KB at once.  The last slot is one mask of
+    the types that complete the others; its lowest bit is the first
+    completion.  Only that model is built, and :func:`verify_model` re-checks it.
     """
     class_atoms = tuple(sorted(ckb.class_atoms))
     property_atoms = tuple(sorted(ckb.property_atoms))
     individuals = tuple(sorted(ckb.individuals))
-    nc, np_ = len(class_atoms), len(property_atoms)
-    n_types = 1 << (nc + np_)
+    nc = len(class_atoms)
+    n_types = 1 << (nc + len(property_atoms))
     stats = [s for s in ckb.statements if isinstance(s, Stat)]
 
     start = max(1, len(individuals))
@@ -199,88 +203,104 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
             return None
         start = max(start, smallest)
 
-    def type_to_sets(t: int) -> tuple[frozenset[str], frozenset[str]]:
-        cs = frozenset(class_atoms[i] for i in range(nc) if t >> i & 1)
-        ps = frozenset(property_atoms[j] for j in range(np_) if t >> (nc + j) & 1)
-        return cs, ps
+    # Bit t of a mask is set iff an element of type t is in the class (or
+    # satisfies the property).  Type t has atom i iff bit i of t is set, class
+    # atoms first, so atom i's mask repeats 2^i clear bits and 2^i set ones.
+    full = (1 << n_types) - 1
+    periodic = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(n_types.bit_length() - 1)]
+    class_bits = dict(zip(class_atoms, periodic))
+    prop_bits = dict(zip(property_atoms, periodic[nc:]))
 
-    type_sets = [type_to_sets(t) for t in range(n_types)]
-
-    # Per-type masks: bit t is set iff an element of type t is in the
-    # class (or satisfies the property).
     def class_mask(cls: CanonicalClass) -> int:
-        need = set(cls.atoms)
-        return sum(1 << t for t in range(n_types) if need <= type_sets[t][0])
+        mask = full
+        for a in cls.atoms:
+            mask &= class_bits[a]
+        return mask
 
     def prop_mask(prop: CanonicalProperty) -> int:
-        return sum(1 << t for t in range(n_types) if prop.evaluate(type_sets[t][1]))
+        mask = 0
+        for row in prop.rows:
+            lit = full
+            for j, a in enumerate(prop.atoms):
+                lit &= prop_bits[a] if row >> j & 1 else ~prop_bits[a]
+            mask |= lit
+        return mask
 
     class_masks = [class_mask(c) for c in _mentioned_classes(ckb)]
     prop_masks = [prop_mask(p) for p in _mentioned_props(ckb)]
     # A candidate's support (the set of types it uses) must meet every mask
-    # in `must_meet` and miss `must_miss`: non-empty, pairwise-distinct
-    # extensions, and inclusion for each asserted subset.  Both ends of a
-    # subset are mentioned classes, so distinctness makes it proper.
+    # in `must_meet`: non-empty, pairwise-distinct extensions.  Both ends of
+    # an asserted subset are mentioned classes, so distinctness makes it
+    # proper once the alphabet has dropped the types in sub but not in sup.
     must_meet = class_masks + [a ^ b for a, b in itertools.combinations(class_masks, 2)]
     must_meet += [a ^ b for a, b in itertools.combinations(prop_masks, 2)]
-    must_miss = 0
+    alphabet = full
     for s in ckb.statements:
         if isinstance(s, Subset):
-            must_miss |= class_mask(s.sub) & ~class_mask(s.sup)
+            alphabet &= ~class_mask(s.sub) | class_mask(s.sup)
     stat_tests = []
     for s in stats:
         cls = class_mask(s.cls)
-        iv = s.interval
-        stat_tests.append((cls, cls & prop_mask(s.prop), iv.lo.numerator,
-                           iv.lo.denominator, iv.hi.numerator, iv.hi.denominator))
+        hit = cls & prop_mask(s.prop)
+        lo, hi = s.interval.lo, s.interval.hi
+        alphabet &= ~(hit if hi == 0 else cls & ~hit if lo == 1 else 0)
+        stat_tests.append((cls, hit, lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+    if not all(alphabet & mask for mask in must_meet):
+        return None
     # Equivalent sentence forms, as (property mask, individual slot) pairs.
     slot = {ind: k for k, ind in enumerate(individuals)}
     form_groups = [[(prop_mask(p), slot[ind]) for p, ind in forms]
                    for forms in _sentence_classes(ckb)]
 
-    def forms_agree(ind_types: tuple[int, ...]) -> bool:
-        return all(
-            len({mask >> ind_types[k] & 1 for mask, k in forms}) <= 1
-            for forms in form_groups
-        )
-
-    def passes(types: tuple[int, ...]) -> bool:
+    def completions(types: tuple[int, ...]) -> int:
+        """The mask of the alphabet's types t for which types + (t,) passes."""
         support = 0
         for t in types:
             support |= 1 << t
-        if support & must_miss or not all(support & mask for mask in must_meet):
-            return False
+        fits = alphabet
+        for mask in must_meet:
+            if not support & mask:
+                fits &= mask
         for cls, hit, lo_num, lo_den, hi_num, hi_den in stat_tests:
             d = sum(cls >> t & 1 for t in types)
             x = sum(hit >> t & 1 for t in types)
-            if not lo_num * d <= x * lo_den or not x * hi_den <= hi_num * d:
-                return False
-        return True
+            options = 0  # t outside cls, a miss in cls, or a hit
+            for d1, x1, mask in ((d, x, ~cls), (d + 1, x, cls & ~hit), (d + 1, x + 1, hit)):
+                if lo_num * d1 <= x1 * lo_den and x1 * hi_den <= hi_num * d1:
+                    options |= mask
+            fits &= options
+        return fits
 
-    # An individual's types are those in its most specific known class.
-    def individual_type_choices(ind: str) -> list[int]:
-        mask = class_mask(ckb.tops[ind])
-        return [t for t in range(n_types) if mask >> t & 1]
+    def model_of(types: tuple[int, ...]) -> FiniteModel:
+        population = tuple((frozenset(a for i, a in enumerate(class_atoms) if t >> i & 1),
+                            frozenset(a for j, a in enumerate(property_atoms) if t >> nc + j & 1))
+                           for t in types)
+        model = FiniteModel(class_atoms, property_atoms, population, slot)
+        if not verify_model(ckb, model):
+            raise RuntimeError(f"find_model: candidate {types} passed the "
+                               "count tests but verify_model rejects it")
+        return model
 
-    choice_lists = [individual_type_choices(i) for i in individuals]
+    def bits(mask: int) -> list[int]:  # the set bits, ascending, in one pass
+        return [t for t, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+    # An individual's types are the alphabet's in its most specific known class.
+    letters = bits(alphabet)
+    choice_lists = [bits(alphabet & class_mask(ckb.tops[i])) for i in individuals]
     m = len(individuals)
-
     for n in range(start, n_max + 1):
         for ind_types in itertools.product(*choice_lists):
-            if not forms_agree(ind_types):
+            if any(len({mask >> ind_types[k] & 1 for mask, k in forms}) > 1
+                   for forms in form_groups):
+                continue  # equivalent sentence forms disagree
+            if n == m:
+                if completions(ind_types[:-1]) >> ind_types[-1] & 1:
+                    return model_of(ind_types)
                 continue
-            for anon in itertools.combinations_with_replacement(range(n_types), n - m):
-                types = ind_types + anon
-                if not passes(types):
-                    continue
-                model = FiniteModel(
-                    class_atoms=class_atoms,
-                    property_atoms=property_atoms,
-                    population=tuple(type_sets[t] for t in types),
-                    individual_map=slot,
-                )
-                if not verify_model(ckb, model):
-                    raise RuntimeError(f"find_model: candidate {types} passed the "
-                                       "count tests but verify_model rejects it")
-                return model
+            # The other anonymous slots in canonical order; the lowest completion
+            # is >= prefix[-1], or it would have completed an earlier prefix.
+            for prefix in itertools.combinations_with_replacement(letters, n - m - 1):
+                fits = completions(ind_types + prefix)
+                if fits:
+                    return model_of(ind_types + prefix + ((fits & -fits).bit_length() - 1,))
     return None

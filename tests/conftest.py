@@ -221,6 +221,72 @@ def random_arith_builder(rng: random.Random) -> rc.KBBuilder | None:
     return b
 
 
+def random_pruned_builder(rng: random.Random) -> rc.KBBuilder | None:
+    """Three class atoms with asserted subsets and stats ``= 0`` and ``= 1``,
+    which leave some element types in no model (and some classes in none)."""
+    b = rc.KBBuilder()
+    classes = ["c0", "c1", "c2"]
+    inds = [f"i{k}" for k in range(rng.randint(0, 2))]
+    for name in classes:
+        b.declare_class(name)
+    b.declare_property("p")
+    for name in inds:
+        b.declare_individual(name)
+    p = rc.canonicalize_property(rc.PropAtom("p"))
+
+    def rand_class() -> rc.CanonicalClass:
+        return rc.CanonicalClass(tuple(sorted(rng.sample(classes, rng.randint(1, 2)))))
+
+    try:
+        for _ in range(rng.randint(1, 2)):
+            i, j = sorted(rng.sample(range(3), 2))
+            sub = {classes[i]} | ({classes[3 - i - j]} if rng.random() < 0.3 else set())
+            b.assert_subset(rc.CanonicalClass(tuple(sorted(sub))),
+                            rc.CanonicalClass((classes[j],)))
+        for _ in range(rng.randint(1, 3)):
+            value = rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(1),
+                                Fraction(1, 2), Fraction(1, 3)])
+            b.assert_stat(rand_class(), rng.choice([p, p.negate()]), rc.Interval.point(value))
+        for k, ind in enumerate(inds):
+            if rng.random() < 0.7:
+                b.assert_member(ind, rand_class())
+            b.declare_sentence(f"S{k}", rng.choice([p, p.negate()]), ind)
+    except rc.KBError:
+        return None
+    return b
+
+
+def random_equiv_builder(rng: random.Random) -> rc.KBBuilder | None:
+    """Two individuals whose sentences are asserted equivalent, over two
+    class atoms and one property, with a third sentence on one of them."""
+    b = rc.KBBuilder()
+    for name in ("c0", "c1"):
+        b.declare_class(name)
+    b.declare_property("p")
+    for name in ("i0", "i1"):
+        b.declare_individual(name)
+    p = rc.canonicalize_property(rc.PropAtom("p"))
+    classes = [rc.CanonicalClass(("c0",)), rc.CanonicalClass(("c1",)),
+               rc.CanonicalClass(("c0", "c1"))]
+    try:
+        for ind in ("i0", "i1"):
+            if rng.random() < 0.7:
+                b.assert_member(ind, rng.choice(classes))
+        for _ in range(rng.randint(1, 2)):
+            lo = rng.choice(_GRID)
+            b.assert_stat(rng.choice(classes), rng.choice([p, p.negate()]),
+                          rc.Interval(lo, rng.choice([lo, Fraction(1)])))
+        b.declare_sentence("S0", rng.choice([p, p.negate()]), "i0")
+        b.declare_sentence("S1", rng.choice([p, p.negate()]), "i1")
+        b.declare_sentence("S2", rng.choice([p, p.negate()]), rng.choice(["i0", "i1"]))
+        b.assert_equiv("S0", "S1")
+        if rng.random() < 0.3:
+            b.assert_equiv("S1", "S2")
+    except rc.KBError:
+        return None
+    return b
+
+
 def random_wide_builder(rng: random.Random) -> rc.KBBuilder | None:
     """A builder with wide membership closures: 4-8 memberships per
     individual (some multi-atom), individuals with none, stats on

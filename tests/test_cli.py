@@ -175,6 +175,13 @@ class TestCheck:
         assert payload["model_bound"] == 1
         assert payload["ok"] is False
 
+    @pytest.mark.parametrize("bound", ["0", "-3", "abc"])
+    def test_bad_bound_is_a_usage_error(self, bound, kb_file, capsys):
+        assert run(["check", kb_file(COIN), f"--model={bound}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith("refclass check: error: argument --model: ")
+
     def test_cycle_exit_two(self, kb_file, capsys):
         code = run(["check", kb_file(CYCLIC), "--json"])
         payload = json.loads(capsys.readouterr().out)

@@ -10,6 +10,8 @@ from conftest import (
     naive_model_exists,
     oracle_find_model,
     random_arith_builder,
+    random_equiv_builder,
+    random_pruned_builder,
     random_sane_kbs,
 )
 
@@ -167,6 +169,26 @@ class TestArithmeticPrecheck:
         assert len(verify_calls) == 1
 
 
+class TestPrunedAlphabet:
+    def test_refuted_before_any_search(self, verify_calls):
+        # a < b with every a a p and no b a p: no type is left for a, so
+        # there is no model of any size, and no candidate is ever built
+        b = rc.KBBuilder()
+        for name in ("a", "b", "c"):
+            b.declare_class(name)
+        b.declare_property("p")
+        b.declare_property("q")
+        b.assert_subset(cls("a"), cls("b"))
+        b.assert_stat(cls("a"), prop("p"), rc.Interval.point(Fraction(1)))
+        b.assert_stat(cls("b"), prop("p"), rc.Interval.point(Fraction(0)))
+        b.assert_stat(cls("c"), prop("q"), rc.Interval(Fraction(1, 5), Fraction(4, 5)))
+        ckb = b.close()
+        assert rc.sanity_check(ckb).ok
+        for bound in range(1, 9):
+            assert rc.find_model(ckb, bound) is None
+        assert verify_calls == []
+
+
 class TestVerifyModel:
     def test_roundtrip(self, coin_kb):
         model = rc.find_model(coin_kb, 3)
@@ -229,14 +251,16 @@ class TestOracleEquivalence:
                 assert (rc.find_model(ckb, bound) is not None) == \
                     naive_model_exists(ckb, bound), str(ckb.statements)
 
-    @pytest.mark.parametrize("seed, count, shape", [
-        (6060, 24, dict(max_classes=3, max_props=2, max_inds=2, allow_equiv=True)),
-        (6061, 60, dict(make=random_arith_builder)),
-    ], ids=["random", "arith"])
-    def test_matches_previous_search(self, seed, count, shape):
+    @pytest.mark.parametrize("seed, count, shape, max_bound", [
+        (6060, 24, dict(max_classes=3, max_props=2, max_inds=2, allow_equiv=True), 4),
+        (6061, 60, dict(make=random_arith_builder), 4),
+        (6062, 20, dict(make=random_pruned_builder), 3),
+        (6063, 12, dict(make=random_equiv_builder), 4),
+    ], ids=["random", "arith", "pruned", "equiv"])
+    def test_matches_previous_search(self, seed, count, shape, max_bound):
         """The same first model as the exhaustive search, at every bound."""
         for _, ckb in random_sane_kbs(seed, count, **shape):
-            for bound in range(1, 5):
+            for bound in range(1, max_bound + 1):
                 got, want = rc.find_model(ckb, bound), oracle_find_model(ckb, bound)
                 assert (got and got.to_dict()) == (want and want.to_dict()), \
                     (str(ckb.statements), bound)
