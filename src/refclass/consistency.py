@@ -25,6 +25,7 @@ from .core import (
     SentenceForm,
     Stat,
     Subset,
+    _bits,
     _covered,
 )
 
@@ -52,19 +53,23 @@ def sanity_check(ckb: ClosedKB) -> SanityReport:
     for cls in sorted(ckb.subset_cycle_classes, key=CanonicalClass.sort_key):
         report.violations.append(f"subset cycle through class {cls}")
     # Membership/subset coherence: asserted inclusion without the implied
-    # membership is flagged as missing knowledge, not an error.
-    edges = [(s.sub, s.sup, frozenset(s.sub.atoms), frozenset(s.sup.atoms))
-             for s in ckb.statements if isinstance(s, Subset)]
+    # membership is flagged as missing knowledge, not an error.  Only the
+    # edges whose subclass lies within the individual's top class can fire,
+    # and which do depends on its membership profile alone.
+    subsets = [s for s in ckb.statements if isinstance(s, Subset)]  # grouped by subclass
+    edges = {sub: list(group) for sub, group in itertools.groupby(subsets, lambda s: s.sub.atoms)}
+    unmet: dict[tuple[tuple[str, ...], ...], list[Subset]] = {}
     for ind in sorted(ckb.individuals):
         gens = ckb.generators[ind]
-        top = frozenset(ckb.tops[ind].atoms)
-        for sub, sup, sub_atoms, sup_atoms in edges:
-            if sub_atoms <= top and _covered(gens, sub_atoms) \
-                    and not (sup_atoms <= top and _covered(gens, sup_atoms)):
-                report.warnings.append(
-                    f"{ind} is known to be in {sub} and {sub} < {sup} is asserted, "
-                    f"but membership of {ind} in {sup} is not in the knowledge base"
-                )
+        if gens not in unmet:
+            within = sorted(ckb.subset_index.within(ckb.tops[ind].atoms), key=lambda a: (-len(a), a))
+            unmet[gens] = [s for sub in within if _covered(gens, frozenset(sub))
+                           for s in edges[sub] if not _covered(gens, frozenset(s.sup.atoms))]
+        for s in unmet[gens]:
+            report.warnings.append(
+                f"{ind} is known to be in {s.sub} and {s.sub} < {s.sup} is asserted, "
+                f"but membership of {ind} in {s.sup} is not in the knowledge base"
+            )
     return report
 
 
@@ -281,12 +286,9 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
                                "count tests but verify_model rejects it")
         return model
 
-    def bits(mask: int) -> list[int]:  # the set bits, ascending, in one pass
-        return [t for t, b in enumerate(reversed(bin(mask))) if b == "1"]
-
     # An individual's types are the alphabet's in its most specific known class.
-    letters = bits(alphabet)
-    choice_lists = [bits(alphabet & class_mask(ckb.tops[i])) for i in individuals]
+    letters = _bits(alphabet)
+    choice_lists = [_bits(alphabet & class_mask(ckb.tops[i])) for i in individuals]
     m = len(individuals)
     for n in range(start, n_max + 1):
         for ind_types in itertools.product(*choice_lists):

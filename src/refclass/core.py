@@ -11,11 +11,12 @@ against the closed form.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, reduce
+from operator import and_, attrgetter, or_
 from typing import Container, Iterable, Mapping, Optional, TypeVar, Union
 
 T = TypeVar("T")
@@ -554,8 +555,47 @@ def _check_identifier(name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-# property -> atom tuple -> (class, fused interval)
-StatIndex = dict[CanonicalProperty, dict[tuple[str, ...], tuple[CanonicalClass, Interval]]]
+# property -> atom tuple -> (class, fused interval, lo rank, hi rank)
+StatIndex = dict[CanonicalProperty, dict[tuple[str, ...], tuple[CanonicalClass, Interval, int, int]]]
+
+
+@dataclass(frozen=True)
+class SubsetIndex:
+    """Known inclusion through asserted subsets, as bitsets over the distinct
+    asserted superclasses in canonical order (bit k is ``superclasses[k]``).
+
+    ``reach`` maps each asserted subclass's atoms to the superclasses its
+    edges lead to, directly or along chains; ``by_atom`` lists the asserted
+    subclasses by first atom; ``with_atom`` maps a class atom to the
+    superclasses that have it.
+    """
+
+    superclasses: tuple[CanonicalClass, ...]
+    reach: dict[tuple[str, ...], int]
+    by_atom: dict[str, list[tuple[str, ...]]]
+    with_atom: dict[str, int]
+    _below: dict = field(default_factory=dict, repr=False, compare=False)
+    _above: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def within(self, atoms: tuple[str, ...]) -> list[tuple[str, ...]]:
+        """The asserted subclasses among `atoms`: their edges fire at its class."""
+        have = set(atoms)
+        return [sub for a in atoms for sub in self.by_atom.get(a, ()) if have.issuperset(sub)]
+
+    def below(self, atoms: tuple[str, ...]) -> int:
+        """The superclasses the class of `atoms` reaches, cached."""
+        got = self._below.get(atoms)
+        if got is None:
+            got = self._below[atoms] = reduce(or_, map(self.reach.get, self.within(atoms)), 0)
+        return got
+
+    def above(self, atoms: tuple[str, ...]) -> int:
+        """The superclasses within the class of `atoms`, having all its atoms, cached."""
+        got = self._above.get(atoms)
+        if got is None:
+            got = self._above[atoms] = reduce(and_, [self.with_atom.get(a, 0) for a in atoms],
+                                              (1 << len(self.superclasses)) - 1)
+        return got
 
 
 @dataclass(frozen=True)
@@ -574,15 +614,16 @@ class ClosedKB:
     equivalences.  Its ``Subset`` statements are the asserted subsets.
 
     ``stat_index`` maps each property to the classes whose fused interval
-    for it is narrower than [0, 1] (atom tuple -> (class, interval)).  No
-    other class can delete a row, be deleted or win resolution, so queries
-    read only these.  It is built on the first query, since the model
-    finder, `check` and `dump` never read it.
+    for it is narrower than [0, 1] (atom tuple -> (class, interval, lo rank,
+    hi rank)).  No other class can delete a row, be deleted or win
+    resolution, so queries read only these.  The ranks order all the index's
+    endpoints exactly, equal values sharing a rank.  It is built on the
+    first query, since the model finder, `check` and `dump` never read it.
 
-    ``subset_reach`` maps each asserted subclass to the asserted
-    superclasses reachable from it by asserted hops joined by atom-superset
-    steps.  Known inclusion is the composition of atom-superset steps with
-    asserted hops, so this is all :meth:`subset_known` needs.
+    ``subset_index`` holds the asserted superclasses reachable from each
+    asserted subclass by asserted hops joined by atom-superset steps, as
+    bitsets (see :class:`SubsetIndex`).  Known inclusion is the composition
+    of the two, so this is all :meth:`subset_known` needs.
 
     ``sentence_groups`` and ``sentence_forms`` map each sentence label to
     its equivalence class and to the class's sorted (property, individual)
@@ -602,7 +643,7 @@ class ClosedKB:
     statements: tuple[Statement, ...]
     generators: Mapping[str, tuple[tuple[str, ...], ...]] = field(hash=False)
     tops: Mapping[str, CanonicalClass] = field(hash=False)
-    subset_reach: Mapping[CanonicalClass, frozenset[CanonicalClass]] = field(hash=False)
+    subset_index: SubsetIndex = field(hash=False)
     sentence_groups: Mapping[str, frozenset[str]] = field(hash=False)
     sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]] = field(hash=False)
     stats: Mapping[tuple[tuple[str, ...], CanonicalProperty], Interval] = field(hash=False)
@@ -640,10 +681,10 @@ class ClosedKB:
     @cached_property
     def stat_index(self) -> StatIndex:
         """Per property, the classes with a fused interval narrower than [0, 1]."""
+        narrow = [(key, iv) for key, iv in self.stats.items() if iv.lo != 0 or iv.hi != 1]
         index: StatIndex = {}
-        for (atoms, p), iv in self.stats.items():
-            if iv.lo != 0 or iv.hi != 1:
-                index.setdefault(p, {})[atoms] = (CanonicalClass._from_sorted(atoms), iv)
+        for ((atoms, p), iv), (lo, hi) in zip(narrow, _endpoint_ranks([iv for _, iv in narrow])):
+            index.setdefault(p, {})[atoms] = (CanonicalClass._from_sorted(atoms), iv, lo, hi)
         return index
 
     @cached_property
@@ -662,38 +703,28 @@ class ClosedKB:
 
     @cached_property
     def subset_cycle_classes(self) -> frozenset[CanonicalClass]:
-        """The classes of the universe on a subset cycle.
-
-        A class lies on a cycle iff an asserted subclass within it reaches
-        a superclass of it, so the universe is read only if some asserted
-        subclass reaches a superclass of itself.
-        """
-        cycles = [(set(sub.atoms), set(sup.atoms))
-                  for sub, reached in self.subset_reach.items()
-                  for sup in reached if set(sup.atoms).issuperset(sub.atoms)]
-        if not cycles:
+        """The classes of the universe on a subset cycle: those that reach a
+        superclass within them.  The universe is read only if some asserted
+        subclass does."""
+        index = self.subset_index
+        if not any(index.below(sub) & index.above(sub) for sub in index.reach):
             return frozenset()
-        return frozenset(c for c in self.universe
-                         if any(sub.issubset(c.atoms) and sup.issuperset(c.atoms)
-                                for sub, sup in cycles))
+        return frozenset(c for c in self.universe if index.below(c.atoms) & index.above(c.atoms))
 
     def subset_known(self, c1: CanonicalClass, c2: CanonicalClass) -> bool:
         """True iff `c1` is a known proper subclass of `c2`.
 
-        Either c1's atoms strictly include c2's, or some asserted subclass
-        within c1 reaches an asserted superclass that includes c2.  Exact
-        for any two classes, inside the mentioned universe or not.
+        Either c1's atoms strictly include c2's, or c1 reaches an asserted
+        superclass that includes c2: the bitsets of the superclasses below
+        c1 and above c2 meet.  Exact for any two classes, inside the
+        mentioned universe or not.
         """
         if c1 == c2:
             return False
-        atoms = set(c1.atoms)
-        if atoms.issuperset(c2.atoms):
+        if set(c1.atoms).issuperset(c2.atoms):
             return True
-        return any(
-            atoms.issuperset(sub.atoms)
-            and any(set(sup.atoms).issuperset(c2.atoms) for sup in reached)
-            for sub, reached in self.subset_reach.items()
-        )
+        index = self.subset_index
+        return bool(index.below(c1.atoms) & index.above(c2.atoms))
 
     @cached_property
     def subset_pairs(self) -> frozenset[tuple[CanonicalClass, CanonicalClass]]:
@@ -701,19 +732,14 @@ class ClosedKB:
 
         Computed on first access: only the closure dump reads it.
         """
+        index = self.subset_index
         by_atoms = {c.atoms: c for c in self.universe}
-        within_sup = {
-            sup: _classes_within(sup.atoms, by_atoms)
-            for sup in set().union(*self.subset_reach.values())
-        }
+        within_sup = [_classes_within(sup.atoms, by_atoms) for sup in index.superclasses]
         pairs: set[tuple[CanonicalClass, CanonicalClass]] = set()
         for c in self.universe:
-            atoms = set(c.atoms)
             supers = set(_classes_within(c.atoms, by_atoms))
-            for sub, reached in self.subset_reach.items():
-                if atoms.issuperset(sub.atoms):
-                    for sup in reached:
-                        supers.update(within_sup[sup])
+            for k in _bits(index.below(c.atoms)):
+                supers.update(within_sup[k])
             supers.discard(c)
             pairs.update((c, d) for d in supers)
         return frozenset(pairs)
@@ -728,6 +754,17 @@ class ClosedKB:
         if prop.is_contradiction:
             return IMPOSSIBLE
         return UNIT
+
+
+def _endpoint_ranks(intervals: list[Interval]) -> list[tuple[int, int]]:
+    """Each interval's (lo, hi) ranks among all the intervals' endpoints.
+    Equal values share a rank, so the ranks order the endpoints exactly;
+    they are sorted as integers over the endpoints' common denominator."""
+    common = math.lcm(*[x.denominator for iv in intervals for x in (iv.lo, iv.hi)])
+    scaled = [(iv.lo.numerator * (common // iv.lo.denominator),
+               iv.hi.numerator * (common // iv.hi.denominator)) for iv in intervals]
+    rank = {v: r for r, v in enumerate(sorted({v for pair in scaled for v in pair}))}
+    return [(rank[lo], rank[hi]) for lo, hi in scaled]
 
 
 def _covered(generators: Iterable[tuple[str, ...]], atoms: frozenset[str]) -> bool:
@@ -752,20 +789,59 @@ def _classes_within(atoms: tuple[str, ...], by_atoms: Mapping[tuple[str, ...], T
     return [c for sub, c in by_atoms.items() if have.issuperset(sub)]
 
 
-def _subset_reach(subsets: list[Subset]) -> dict[CanonicalClass, frozenset[CanonicalClass]]:
-    """Per asserted subclass, the asserted superclasses its chains reach."""
-    reach: dict[CanonicalClass, frozenset[CanonicalClass]] = {}
-    for start in {s.sub for s in subsets}:
-        seen: set[CanonicalClass] = set()
-        frontier = [start]
-        while frontier:
-            atoms = set(frontier.pop().atoms)
-            for s in subsets:
-                if s.sup not in seen and atoms.issuperset(s.sub.atoms):
-                    seen.add(s.sup)
-                    frontier.append(s.sup)
-        reach[start] = frozenset(seen)
-    return reach
+def _bits(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending, in one pass."""
+    return [k for k, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+
+def _subset_index(subsets: list[Subset]) -> SubsetIndex:
+    """Each asserted subclass's reach: the graph between superclasses has an
+    edge where an asserted subclass lies within a superclass, and each of its
+    strongly connected components is closed once, after those it reaches (an
+    iterative Tarjan, 1972; Nuutila 1995)."""
+    sups = sorted({s.sup for s in subsets}, key=CanonicalClass.sort_key)
+    bit = {c: k for k, c in enumerate(sups)}
+    heads: dict[tuple[str, ...], list[int]] = {}  # subclass -> its edges' superclasses
+    for s in subsets:
+        heads.setdefault(s.sub.atoms, []).append(bit[s.sup])
+    index = SubsetIndex(tuple(sups), {}, {}, {})
+    for sub in heads:
+        index.by_atom.setdefault(sub[0], []).append(sub)
+    for k, c in enumerate(sups):
+        for a in c.atoms:
+            index.with_atom[a] = index.with_atom.get(a, 0) | 1 << k
+    succ = [[j for sub in index.within(c.atoms) for j in heads[sub]] for c in sups]
+    n = len(sups)
+    order, low, reach, stack, visits = [0] * n, [0] * n, [0] * n, [], 0
+    for root in range(n):
+        work = [] if order[root] else [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            if not order[v]:
+                visits += 1
+                order[v] = low[v] = visits
+                stack.append(v)
+            for w in edges:
+                if not order[w]:
+                    work.append((w, iter(succ[w])))
+                    break
+                if not reach[w]:  # on the stack: its component is open
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == order[v]:  # v roots a component: close it
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    bits = reduce(or_, [reach[w] for u in component for w in succ[u]],
+                                  sum(1 << u for u in component))
+                    for u in component:
+                        reach[u] = bits
+    for sub, ks in heads.items():
+        index.reach[sub] = reduce(or_, [reach[k] for k in ks])
+    return index
 
 
 def close(builder: KBBuilder) -> ClosedKB:
@@ -798,7 +874,7 @@ def close(builder: KBBuilder) -> ClosedKB:
 
     # subset relation: the reach of asserted edges
     subsets = builder.subsets
-    reach = _subset_reach(subsets)
+    subset_index = _subset_index(subsets)
 
     # sentence partition (union-find over equivalence links)
     parent: dict[str, str] = {s: s for s in builder.sentence_forms}
@@ -858,7 +934,7 @@ def close(builder: KBBuilder) -> ClosedKB:
         statements=(*stats, *members, *subsets, *builder.forms, *equivs),
         generators=generators,
         tops=tops,
-        subset_reach=reach,
+        subset_index=subset_index,
         sentence_groups=sentence_groups,
         sentence_forms=sentence_forms,
         stats=fused,

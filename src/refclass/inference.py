@@ -23,6 +23,7 @@ from .core import (
     Interval,
     _classes_within,
     _covered,
+    _endpoint_ranks,
 )
 
 # Undefined reasons
@@ -95,17 +96,19 @@ def build_table(ckb: ClosedKB, individual: str, prop: CanonicalProperty) -> list
     return [TableRow(c, ckb.effective_interval(c, prop)) for c in ckb.table_classes(individual)]
 
 
-def _judge(ckb: ClosedKB, rows: list[TableRow]) -> list[TableRow]:
-    """The deletion loop over rows none of which is [0, 1], in table order.
+def _judge(ckb: ClosedKB, rows: list[tuple[TableRow, int, int]]) -> list[TableRow]:
+    """The deletion loop over rows none of which is [0, 1], in table order,
+    each with the ranks of its interval's endpoints.
 
     A row is deleted iff it differs from another row without being a known
-    subclass of it; the first such row is its witness.
+    subclass of it; the first such row is its witness.  Two intervals differ
+    iff neither includes the other, which the ranks decide exactly.
     """
     out: list[TableRow] = []
-    for row in rows:
-        for other in rows:
-            if other.cls != row.cls and differ(row.interval, other.interval) \
-                    and not ckb.subset_known(row.cls, other.cls):
+    for row, lo, hi in rows:
+        for other, other_lo, other_hi in rows:
+            if (lo > other_lo or other_hi > hi) and (other_lo > lo or hi > other_hi) \
+                    and other.cls != row.cls and not ckb.subset_known(row.cls, other.cls):
                 out.append(TableRow(row.cls, row.interval, DELETED, other.cls))
                 break
         else:
@@ -122,7 +125,8 @@ def filter_rows(ckb: ClosedKB, rows: list[TableRow]) -> list[TableRow]:
     """
     out = list(rows)
     active = [k for k, row in enumerate(rows) if row.interval != UNIT]
-    for k, row in zip(active, _judge(ckb, [rows[k] for k in active])):
+    ranks = _endpoint_ranks([rows[k].interval for k in active])
+    for k, row in zip(active, _judge(ckb, [(rows[k], *r) for k, r in zip(active, ranks)])):
         out[k] = row
     return out
 
@@ -203,13 +207,13 @@ def _judged_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
         row = TableRow(top, ckb.effective_interval(top, prop))
         return (row,), (row.interval, top)
     gens = ckb.generators[individual]
-    rows = [TableRow(cls, iv)
-            for cls, iv in _classes_within(top.atoms, ckb.stat_index.get(prop) or {})
-            if (not point or iv.is_point) and _covered(gens, frozenset(cls.atoms))]
-    if point and not rows:
+    ranked = [(TableRow(cls, iv), lo, hi)
+              for cls, iv, lo, hi in _classes_within(top.atoms, ckb.stat_index.get(prop) or {})
+              if (not point or lo == hi) and _covered(gens, frozenset(cls.atoms))]
+    if point and not ranked:
         return (), NO_MEMBERSHIP
-    rows.sort(key=lambda r: r.cls.sort_key())  # table order
-    rows = tuple(_judge(ckb, rows))
+    ranked.sort(key=lambda r: r[0].cls.sort_key())  # table order
+    rows = tuple(_judge(ckb, ranked))
     live = survivors(rows)
     if live:
         return rows, resolve(live)

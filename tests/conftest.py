@@ -483,6 +483,46 @@ def oracle_subset_known(ckb: rc.ClosedKB, c1: rc.CanonicalClass,
     return False
 
 
+def oracle_subset_reach(ckb: rc.ClosedKB) -> dict[rc.CanonicalClass, frozenset[rc.CanonicalClass]]:
+    """Per asserted subclass, the asserted superclasses its chains reach: a
+    search from each subclass that scans every asserted subset at each step,
+    cubic in the number of asserted subsets."""
+    subsets = asserted_subsets(ckb)
+    reach = {}
+    for start in {sub for sub, _ in subsets}:
+        seen: set[rc.CanonicalClass] = set()
+        frontier = [start]
+        while frontier:
+            atoms = set(frontier.pop().atoms)
+            for sub, sup in subsets:
+                if sup not in seen and atoms.issuperset(sub.atoms):
+                    seen.add(sup)
+                    frontier.append(sup)
+        reach[start] = frozenset(seen)
+    return reach
+
+
+def oracle_reach_known(reach, c1: rc.CanonicalClass, c2: rc.CanonicalClass) -> bool:
+    """Known proper inclusion read off `oracle_subset_reach`: c1's atoms
+    strictly include c2's, or an asserted subclass within c1 reaches an
+    asserted superclass that includes c2."""
+    if c1 == c2:
+        return False
+    atoms = set(c1.atoms)
+    return atoms.issuperset(c2.atoms) or any(
+        atoms.issuperset(sub.atoms) and any(set(sup.atoms).issuperset(c2.atoms) for sup in reached)
+        for sub, reached in reach.items())
+
+
+def oracle_reach_cycle_classes(ckb: rc.ClosedKB, reach) -> frozenset[rc.CanonicalClass]:
+    """The classes of the universe between an asserted subclass and a
+    superclass of it that the subclass reaches."""
+    cycles = [(set(sub.atoms), set(sup.atoms)) for sub, reached in reach.items()
+              for sup in reached if set(sup.atoms).issuperset(sub.atoms)]
+    return frozenset(c for c in ckb.universe
+                     if any(sub.issubset(c.atoms) and sup.issuperset(c.atoms) for sub, sup in cycles))
+
+
 def oracle_subset_closure(ckb: rc.ClosedKB):
     """Brute-force closure over U: every structural edge plus the asserted
     ones, closed by a search from each class.  Returns (pairs, classes on a
