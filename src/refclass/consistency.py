@@ -25,6 +25,7 @@ from .core import (
     SentenceForm,
     Stat,
     Subset,
+    _atom_tables,
     _bits,
     _covered,
 )
@@ -149,8 +150,7 @@ def verify_model(ckb: ClosedKB, model: FiniteModel) -> bool:
     for s in ckb.statements:
         if isinstance(s, Stat):
             ext = exts[s.cls]
-            hits = sum(1 for k in ext if model.satisfies(s.prop, k))
-            ratio = Fraction(hits, len(ext))
+            ratio = Fraction(len(ext & prop_exts[s.prop]), len(ext))
             if not (s.interval.lo <= ratio <= s.interval.hi):
                 return False
         elif isinstance(s, Member):
@@ -198,7 +198,6 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     property_atoms = tuple(sorted(ckb.property_atoms))
     individuals = tuple(sorted(ckb.individuals))
     nc = len(class_atoms)
-    n_types = 1 << (nc + len(property_atoms))
     stats = [s for s in ckb.statements if isinstance(s, Stat)]
 
     start = max(1, len(individuals))
@@ -208,13 +207,11 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
             return None
         start = max(start, smallest)
 
-    # Bit t of a mask is set iff an element of type t is in the class (or
-    # satisfies the property).  Type t has atom i iff bit i of t is set, class
-    # atoms first, so atom i's mask repeats 2^i clear bits and 2^i set ones.
-    full = (1 << n_types) - 1
-    periodic = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(n_types.bit_length() - 1)]
-    class_bits = dict(zip(class_atoms, periodic))
-    prop_bits = dict(zip(property_atoms, periodic[nc:]))
+    # Bit t of a mask is set iff an element of type t is in the class (or satisfies
+    # the property).  Type t has atom i iff bit i of t is set, class atoms first.
+    full, atom_tables = _atom_tables(nc + len(property_atoms))
+    class_bits = dict(zip(class_atoms, atom_tables))
+    prop_bits = dict(zip(property_atoms, atom_tables[nc:]))
 
     def class_mask(cls: CanonicalClass) -> int:
         mask = full
@@ -222,23 +219,14 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
             mask &= class_bits[a]
         return mask
 
-    def prop_mask(prop: CanonicalProperty) -> int:
-        mask = 0
-        for row in prop.rows:
-            lit = full
-            for j, a in enumerate(prop.atoms):
-                lit &= prop_bits[a] if row >> j & 1 else ~prop_bits[a]
-            mask |= lit
-        return mask
-
     class_masks = [class_mask(c) for c in _mentioned_classes(ckb)]
-    prop_masks = [prop_mask(p) for p in _mentioned_props(ckb)]
+    prop_masks = {p: p.over(prop_bits, full) for p in _mentioned_props(ckb)}
     # A candidate's support (the set of types it uses) must meet every mask
     # in `must_meet`: non-empty, pairwise-distinct extensions.  Both ends of
     # an asserted subset are mentioned classes, so distinctness makes it
     # proper once the alphabet has dropped the types in sub but not in sup.
     must_meet = class_masks + [a ^ b for a, b in itertools.combinations(class_masks, 2)]
-    must_meet += [a ^ b for a, b in itertools.combinations(prop_masks, 2)]
+    must_meet += [a ^ b for a, b in itertools.combinations(prop_masks.values(), 2)]
     alphabet = full
     for s in ckb.statements:
         if isinstance(s, Subset):
@@ -246,7 +234,7 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     stat_tests = []
     for s in stats:
         cls = class_mask(s.cls)
-        hit = cls & prop_mask(s.prop)
+        hit = cls & prop_masks[s.prop]
         lo, hi = s.interval.lo, s.interval.hi
         alphabet &= ~(hit if hi == 0 else cls & ~hit if lo == 1 else 0)
         stat_tests.append((cls, hit, lo.numerator, lo.denominator, hi.numerator, hi.denominator))
@@ -254,7 +242,7 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
         return None
     # Equivalent sentence forms, as (property mask, individual slot) pairs.
     slot = {ind: k for k, ind in enumerate(individuals)}
-    form_groups = [[(prop_mask(p), slot[ind]) for p, ind in forms]
+    form_groups = [[(prop_masks[p], slot[ind]) for p, ind in forms]
                    for forms in _sentence_classes(ckb)]
 
     def completions(types: tuple[int, ...]) -> int:

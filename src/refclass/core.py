@@ -103,40 +103,37 @@ UNIVERSAL = CanonicalClass(())
 # ---------------------------------------------------------------------------
 
 
+_SWAP_BITS = str.maketrans("01", "10")
+
+
 @dataclass(frozen=True)
 class CanonicalProperty:
     """A property as a reduced truth table over its essential atoms.
 
-    ``atoms`` is sorted; ``rows`` holds the satisfying assignments as
-    bitmasks (bit i set means atoms[i] is true).  Atoms the function does
-    not depend on are dropped, so logically equivalent formulas are equal.
+    ``atoms`` is sorted; bit m of ``table`` is set iff the assignment m
+    (bit i of m set means atoms[i] is true) satisfies the property.  Atoms
+    the function does not depend on are dropped, so logically equivalent
+    formulas are equal.
     """
 
     atoms: tuple[str, ...]
-    rows: frozenset[int]
+    table: int
 
     @property
     def is_tautology(self) -> bool:
-        return not self.atoms and bool(self.rows)
+        return not self.atoms and self.table == 1
 
     @property
     def is_contradiction(self) -> bool:
-        return not self.atoms and not self.rows
+        return not self.atoms and not self.table
 
     def negate(self) -> "CanonicalProperty":
         # a function and its negation depend on the same atoms
-        full = frozenset(range(1 << len(self.atoms)))
-        return CanonicalProperty(self.atoms, full - self.rows)
+        return CanonicalProperty(self.atoms, self.table ^ ((1 << (1 << len(self.atoms))) - 1))
 
     def conjoin(self, other: "CanonicalProperty") -> "CanonicalProperty":
-        atoms = tuple(sorted(set(self.atoms) | set(other.atoms)))
-        idx = {a: i for i, a in enumerate(atoms)}
-        rows = set()
-        for mask in range(1 << len(atoms)):
-            truth = {a for a in atoms if mask >> idx[a] & 1}
-            if self.evaluate(truth) and other.evaluate(truth):
-                rows.add(mask)
-        return _reduced_property(atoms, frozenset(rows))
+        return _reduced(tuple(sorted(set(self.atoms) | set(other.atoms))),
+                        lambda tables, full: self.over(tables, full) & other.over(tables, full))
 
     def evaluate(self, true_atoms: Iterable[str]) -> bool:
         """Truth value under the assignment where exactly `true_atoms` hold."""
@@ -145,54 +142,76 @@ class CanonicalProperty:
         for i, a in enumerate(self.atoms):
             if a in true_atoms:
                 mask |= 1 << i
-        return mask in self.rows
+        return (self.table >> mask) & 1 == 1
+
+    def over(self, tables: Mapping[str, int], full: int) -> int:
+        """This property's table in a space with full mask `full`, given each atom's
+        table there: the OR of its minterms, found lowest bit first (cheaper than `_bits`)."""
+        out, rest = 0, self.table
+        while rest:
+            m = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            term = full
+            for i, a in enumerate(self.atoms):
+                term &= tables[a] if m >> i & 1 else full ^ tables[a]
+            out |= term
+        return out
+
+    def minterms(self) -> list[str]:
+        """Each satisfying assignment, lowest first, as a conjunction of literals."""
+        return [" & ".join([a if m >> i & 1 else f"!{a}" for i, a in enumerate(self.atoms)])
+                for m in _bits(self.table)]
 
     def sort_key(self):
-        return (self.atoms, tuple(sorted(self.rows)))
+        # Orders as (atoms, satisfying assignments ascending) does: bits 0 up to the top set
+        # bit, 0 and 1 swapped, compared as text (a prefix first, a set bit before a clear one).
+        return (self.atoms, bin(self.table)[:1:-1].translate(_SWAP_BITS) if self.table else "")
 
     def describe(self) -> str:
         """Readable rendering (display only; the DSL has its own renderer)."""
-        if self.is_tautology:
-            return "true"
-        if self.is_contradiction:
-            return "false"
-        minterms = []
-        for mask in sorted(self.rows):
-            lits = []
-            for i, a in enumerate(self.atoms):
-                lits.append(a if mask >> i & 1 else f"!{a}")
-            minterms.append(" & ".join(lits))
-        if len(minterms) == 1:
-            return minterms[0]
-        return " | ".join(f"({m})" for m in minterms)
+        if not self.atoms:
+            return "true" if self.table else "false"
+        terms = self.minterms()
+        if len(terms) == 1:
+            return terms[0]
+        return " | ".join(f"({m})" for m in terms)
 
     def __str__(self) -> str:
         return self.describe()
 
 
-def _reduced_property(atoms: tuple[str, ...], rows: frozenset[int]) -> CanonicalProperty:
-    """Drop atoms the function does not depend on and renumber the rows."""
-    n = len(atoms)
-    essential = []
+def _atom_tables(n: int) -> tuple[int, list[int]]:
+    """The full mask over the 2^n assignments of n atoms, and each atom's
+    table: 2^i clear bits and 2^i set ones for atom i, doubled until it fills
+    the space, so the cost is linear in the n * 2^n bits returned."""
+    size = 1 << n
+    tables = []
     for i in range(n):
-        bit = 1 << i
-        if any((m in rows) != ((m ^ bit) in rows) for m in range(1 << n)):
-            essential.append(i)
-    if len(essential) == n:
-        return CanonicalProperty(atoms, rows)
-    new_atoms = tuple(atoms[i] for i in essential)
-    new_rows = set()
-    for m in rows:
-        nm = 0
-        for j, i in enumerate(essential):
-            if m >> i & 1:
-                nm |= 1 << j
-        new_rows.add(nm)
-    return CanonicalProperty(new_atoms, frozenset(new_rows))
+        t, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i  # one period
+        while width < size:
+            t |= t << width
+            width <<= 1
+        tables.append(t)
+    return (1 << size) - 1, tables
 
 
-TAUTOLOGY = CanonicalProperty((), frozenset({0}))
-CONTRADICTION = CanonicalProperty((), frozenset())
+def _reduced(atoms: tuple[str, ...], table_of) -> CanonicalProperty:
+    """The property `table_of(tables, full)` computes from each atom's table,
+    less the atoms it does not depend on: those whose two halves of the table
+    are equal.  If any is dropped, the table is recomputed over the rest,
+    with the dropped atoms' tables 0."""
+    full, per_atom = _atom_tables(len(atoms))
+    table = table_of(dict(zip(atoms, per_atom)), full)
+    keep = tuple(a for i, (a, t) in enumerate(zip(atoms, per_atom))
+                 if (table & t) >> (1 << i) != table & ~t)
+    if keep != atoms:
+        full, per_atom = _atom_tables(len(keep))
+        table = table_of(dict.fromkeys(atoms, 0) | dict(zip(keep, per_atom)), full)
+    return CanonicalProperty(keep, table)
+
+
+TAUTOLOGY = CanonicalProperty((), 1)
+CONTRADICTION = CanonicalProperty((), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +291,18 @@ def canonicalize_property(expr: PropExpr, declared: Optional[set[str]] = None) -
         else:
             raise ValidationError(f"not a property expression: {type(e).__name__}")
 
-    def ev(e: PropExpr, mask: int) -> bool:
+    def table(e: PropExpr, tables: Mapping[str, int], full: int) -> int:
         if isinstance(e, PropAtom):
-            return bool(mask >> idx[e.name] & 1)
+            return tables[e.name]
         if isinstance(e, PropNot):
-            return not ev(e.arg, mask)
-        return ev(e.left, mask) and ev(e.right, mask)
+            return table(e.arg, tables, full) ^ full
+        return table(e.left, tables, full) & table(e.right, tables, full)
 
     try:
         collect(expr)
-        atoms = tuple(sorted(mentioned))
-        idx = {a: i for i, a in enumerate(atoms)}
-        rows = frozenset(m for m in range(1 << len(atoms)) if ev(expr, m))
+        return _reduced(tuple(sorted(mentioned)), lambda tables, full: table(expr, tables, full))
     except RecursionError:
         raise ValidationError(_TOO_DEEP) from None
-    return _reduced_property(atoms, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -421,16 +421,11 @@ def _render_property(prop: CanonicalProperty, fallback_atom: Optional[str]) -> s
     if prop.is_tautology:
         return f"!({fallback_atom} & !{fallback_atom})"
 
-    def minterm(mask: int) -> str:
-        return " & ".join(
-            a if mask >> i & 1 else f"!{a}" for i, a in enumerate(prop.atoms)
-        )
-
-    rows = sorted(prop.rows)
-    if len(rows) == 1:
-        return minterm(rows[0])
+    terms = prop.minterms()
+    if len(terms) == 1:
+        return terms[0]
     # f = m1 | m2 | ... = !(!m1 & !m2 & ...)
-    inner = " & ".join(f"!({minterm(m)})" for m in rows)
+    inner = " & ".join(f"!({m})" for m in terms)
     return f"!({inner})"
 
 

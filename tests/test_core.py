@@ -1,6 +1,7 @@
 """kb-core: canonicalization, statement assertion, deductive closure."""
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,23 @@ class TestCanonicalizeClass:
         assert a.intersect(rc.UNIVERSAL) == a
 
 
+def _holds(expr, true_atoms) -> bool:
+    """The oracle's verdict on one assignment: each atom is replaced by the
+    constant it takes there, written over one fresh atom z, so the oracle's
+    table is over z alone and is empty iff the formula is false."""
+    z = rc.PropAtom("z")
+    false = rc.PropAnd(z, rc.PropNot(z))
+
+    def fixed(e):
+        if isinstance(e, rc.PropAtom):
+            return rc.PropNot(false) if e.name in true_atoms else false
+        if isinstance(e, rc.PropNot):
+            return rc.PropNot(fixed(e.arg))
+        return rc.PropAnd(fixed(e.left), fixed(e.right))
+
+    return bool(oracle_prop_table(fixed(expr), ["z"]))
+
+
 class TestCanonicalizeProperty:
     def test_double_negation(self):
         expr = rc.PropNot(rc.PropNot(rc.PropAtom("heads")))
@@ -111,6 +129,42 @@ class TestCanonicalizeProperty:
     def test_undeclared_atom(self):
         with pytest.raises(rc.DeclarationError, match="^undeclared property: q$"):
             rc.canonicalize_property(rc.PropAtom("q"), declared={"p"})
+
+    def test_twenty_atoms(self):
+        """A 20-atom conjunction and its negation, parsed: negate, conjoin and
+        evaluate agree with the oracle on sampled assignments, and atoms a
+        formula ignores are dropped."""
+        names = [f"p{k}" for k in range(20)]
+
+        def conj_of(atoms):
+            expr = rc.PropAtom(atoms[0])
+            for a in atoms[1:]:
+                expr = rc.PropAnd(expr, rc.PropAtom(a))
+            return expr
+
+        conj_expr, low_expr, high_expr = conj_of(names), conj_of(names[:10]), conj_of(names[10:])
+        text = " & ".join(names)
+        b = rc.parse_kb("".join(f"property {a}\n" for a in names) + "individual t\n"
+                        f"sentence S iff {text}(t)\nsentence N iff !({text})(t)\n"
+                        "sentence D iff p0 & !(p19 & !p19)(t)\n")
+        conj, neg, dropped = (b.sentence_forms[s][0] for s in ("S", "N", "D"))
+        assert conj.atoms == neg.atoms == tuple(sorted(names))
+        assert conj.negate() == neg and neg.negate() == conj
+        assert dropped == prop("p0")
+        low, high = rc.canonicalize_property(low_expr), rc.canonicalize_property(high_expr)
+        assert low.conjoin(high) == conj and conj.conjoin(prop("p0")) == conj
+        mixed_expr = rc.PropAnd(low_expr, rc.PropNot(rc.PropAtom("p12")))
+        mixed = low.conjoin(prop("p12").negate())
+        assert mixed.atoms == tuple(sorted(names[:10] + ["p12"]))
+        assert conj.conjoin(mixed) == rc.CONTRADICTION
+        rng = random.Random(20)
+        samples = [set(names), set(names) - {"p12"}, set()]
+        samples += [{a for a in names if rng.random() < 0.9} for _ in range(60)]
+        for s in samples:
+            assert conj.evaluate(s) == _holds(conj_expr, s)
+            assert neg.evaluate(s) == conj.negate().evaluate(s) == _holds(rc.PropNot(conj_expr), s)
+            assert low.conjoin(high).evaluate(s) == _holds(rc.PropAnd(low_expr, high_expr), s)
+            assert mixed.evaluate(s) == _holds(mixed_expr, s)
 
     @pytest.mark.parametrize("kind", ["negation", "conjunction"])
     def test_deep_tree_is_a_validation_error(self, kind):

@@ -120,6 +120,25 @@ def test_property_conjoin_associative(e1, e2, e3):
     assert p1.conjoin(p2).conjoin(p3) == p1.conjoin(p2.conjoin(p3))
 
 
+def _oracle_key(expr):
+    """(essential atoms, satisfying assignments over them as ascending bitmasks),
+    read off the oracle's truth table over ATOMS, not off the canonicalizer."""
+    table = oracle_prop_table(expr, ATOMS)
+    essential = tuple(a for a in ATOMS if any(s ^ {a} not in table for s in table))
+    masks = {sum(1 << i for i, a in enumerate(essential) if a in s) for s in table}
+    return essential, tuple(sorted(masks))
+
+
+@given(st.lists(prop_exprs(), min_size=2, max_size=8))
+def test_property_sort_key_orders_by_atoms_then_satisfying_assignments(exprs):
+    """`sort_key` fixes `render` and the statement order: it sorts as
+    (atoms, sorted satisfying assignments) does.  Negations are added, so
+    that some properties share their atoms."""
+    exprs += [rc.PropNot(e) for e in exprs]
+    by_key = sorted(exprs, key=lambda e: rc.canonicalize_property(e).sort_key())
+    assert [_oracle_key(e) for e in by_key] == sorted(map(_oracle_key, exprs))
+
+
 # ---------------------------------------------------------------------------
 # Closure invariants over random KBs
 # ---------------------------------------------------------------------------

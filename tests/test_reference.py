@@ -4,7 +4,8 @@ The reference evaluator computes each answer from the generator's record of
 what it wrote, never from the engine's parse, closure or tables, so it is an
 oracle independent of `build_table`, `filter_rows` and `subset_known`.  It
 covers literal properties only: every statistic and sentence here is `p` or
-`!p` for a property atom `p`.  `bench/` is imported read-only.
+`!p` for a property atom `p`.  Every model `find_model` returns is re-counted
+by the reference's `model_holds`.  `bench/` is imported read-only.
 """
 
 import contextlib
@@ -23,11 +24,13 @@ import refclass as rc
 from refclass import cli
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
-from reference import Reference, check_dump, check_prob, check_trace_dict  # noqa: E402
+from reference import Reference, check_dump, check_prob, check_trace_dict, model_holds  # noqa: E402
 from workloads import KBRecord  # noqa: E402
 
 # on the 1/100 grid, which `KBRecord.text()` writes as exact decimals
 VALUES = [Fraction(k, 20) for k in range(21)]
+# coarse values, so that more records have a model of at most four elements
+QUARTERS = [Fraction(k, 4) for k in range(5)]
 
 
 def _subclass(draw, cls: frozenset) -> frozenset:
@@ -36,13 +39,13 @@ def _subclass(draw, cls: frozenset) -> frozenset:
 
 
 @st.composite
-def records(draw) -> KBRecord:
+def records(draw, max_atoms: int = 6, values: list = VALUES) -> KBRecord:
     """Memberships of one to three atoms, stats on them, on unions of an
     individual's memberships (its top class among them) and elsewhere,
     point, interval and `[0, 1]` stats with compatible complement stats,
     and asserted subsets in chains joined by atom-superset steps, some
     closed into cycles."""
-    atoms = [f"c{k}" for k in range(draw(st.integers(2, 6)))]
+    atoms = [f"c{k}" for k in range(draw(st.integers(2, max_atoms)))]
     props = [f"p{k}" for k in range(draw(st.integers(1, 2)))]
     individuals = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
     rec = KBRecord(atoms=atoms, props=props, individuals=individuals)
@@ -63,16 +66,16 @@ def records(draw) -> KBRecord:
         cls, atom, positive = draw(stat_classes), draw(st.sampled_from(props[:1] + props)), \
             draw(st.booleans())
         kind = draw(st.sampled_from(["point", "interval", "unit"]))
-        lo = draw(st.sampled_from(VALUES))
+        lo = draw(st.sampled_from(values))
         hi = lo if kind == "point" else Fraction(1) if kind == "unit" else \
-            draw(st.sampled_from([v for v in VALUES if v >= lo]))
+            draw(st.sampled_from([v for v in values if v >= lo]))
         if kind == "unit":
             lo = Fraction(0)
         stats[cls, atom] = [(cls, (atom, positive), lo, hi)]
         if draw(st.booleans()):  # the complement, in an interval holding the reflection
             stats[cls, atom].append((cls, (atom, not positive),
-                                     max(Fraction(0), 1 - hi - draw(st.sampled_from(VALUES[:3]))),
-                                     min(Fraction(1), 1 - lo + draw(st.sampled_from(VALUES[:3])))))
+                                     max(Fraction(0), 1 - hi - draw(st.sampled_from(values[:3]))),
+                                     min(Fraction(1), 1 - lo + draw(st.sampled_from(values[:3])))))
     rec.stats = [s for group in stats.values() for s in group]
 
     subsets = {}
@@ -117,3 +120,15 @@ def test_queries_and_closure_match_reference(rec):
             assert check_trace_dict(rc.explain(ckb, label, mode).to_dict(), ans), (label, mode)
     assert len(rc.sanity_check(ckb).warnings) == ref.warnings()
     assert check_dump(_dump(text), ref)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(records(max_atoms=3, values=QUARTERS), st.integers(1, 4))
+def test_found_models_hold(rec, bound):
+    """Every model `find_model` returns satisfies the record, re-counted by
+    the reference.  Nothing is asserted when it finds none:
+    `no_model_by_arithmetic` is only a sufficient condition for that."""
+    model = rc.find_model(rc.parse_kb(rec.text()).close(), bound)
+    if model is not None:
+        d = model.to_dict()
+        assert d["size"] <= bound and model_holds(rec, d)
