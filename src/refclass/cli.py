@@ -158,7 +158,7 @@ def cmd_dump(args) -> int:
     builder = _load(args.kb)
     ckb = _close(builder)
     # json.dumps(sort_keys=True) orders every dict below by key
-    memberships = {ind: sorted(map(str, ckb.known_memberships(ind))) for ind in ckb.individuals}
+    memberships = ckb._per_profile(lambda profile: sorted(map(str, profile.classes)))
     subsets = sorted(f"{a} < {b}" for a, b in ckb.subset_pairs)
     stats = {
         f"%({CanonicalClass(atoms)}, {prop.describe()})": [str(iv.lo), str(iv.hi)]

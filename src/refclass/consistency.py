@@ -27,7 +27,6 @@ from .core import (
     Subset,
     _atom_tables,
     _bits,
-    _covered,
 )
 
 
@@ -61,12 +60,12 @@ def sanity_check(ckb: ClosedKB) -> SanityReport:
     edges = {sub: list(group) for sub, group in itertools.groupby(subsets, lambda s: s.sub.atoms)}
     unmet: dict[tuple[tuple[str, ...], ...], list[Subset]] = {}
     for ind in sorted(ckb.individuals):
-        gens = ckb.generators[ind]
-        if gens not in unmet:
-            within = sorted(ckb.subset_index.within(ckb.tops[ind].atoms), key=lambda a: (-len(a), a))
-            unmet[gens] = [s for sub in within if _covered(gens, frozenset(sub))
-                           for s in edges[sub] if not _covered(gens, frozenset(s.sup.atoms))]
-        for s in unmet[gens]:
+        profile = ckb.profiles[ind]
+        if profile.generators not in unmet:
+            within = sorted(ckb.subset_index.within(profile.top.atoms), key=lambda a: (-len(a), a))
+            unmet[profile.generators] = [s for sub in within if profile.covers(sub)
+                                         for s in edges[sub] if not profile.covers(s.sup.atoms)]
+        for s in unmet[profile.generators]:
             report.warnings.append(
                 f"{ind} is known to be in {s.sub} and {s.sub} < {s.sup} is asserted, "
                 f"but membership of {ind} in {s.sup} is not in the knowledge base"
@@ -276,7 +275,7 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
 
     # An individual's types are the alphabet's in its most specific known class.
     letters = _bits(alphabet)
-    choice_lists = [_bits(alphabet & class_mask(ckb.tops[i])) for i in individuals]
+    choice_lists = [_bits(alphabet & class_mask(ckb.profiles[i].top)) for i in individuals]
     m = len(individuals)
     for n in range(start, n_max + 1):
         for ind_types in itertools.product(*choice_lists):

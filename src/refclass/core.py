@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_, attrgetter, or_
-from typing import Container, Iterable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Container, Iterable, Mapping, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -615,15 +615,36 @@ class SubsetIndex:
 
 
 @dataclass(frozen=True)
+class Profile:
+    """A membership profile: the sorted atoms of an individual's asserted
+    membership classes, its generators, and their union, its most specific
+    known class (U if none).  A class is a known membership iff its atoms
+    are the union of the generators inside it: :meth:`covers` tests that in
+    O(k) for k generators, and :attr:`classes` lists all 2^k on first ask."""
+
+    generators: tuple[tuple[str, ...], ...]
+    top: CanonicalClass
+
+    def covers(self, atoms: Iterable[str]) -> bool:
+        """True iff the class of `atoms` is a known membership."""
+        have = frozenset(atoms)
+        return frozenset().union(*[g for g in self.generators if have.issuperset(g)]) == have
+
+    @cached_property
+    def classes(self) -> tuple[CanonicalClass, ...]:
+        """The known memberships in table order: most atoms first, then by atoms, U last."""
+        ordered = sorted(tuple(sorted(atoms)) for atoms in _union_closure(self.generators))
+        ordered.sort(key=len, reverse=True)  # stable: by atoms within a size
+        return tuple(map(CanonicalClass._from_sorted, ordered))
+
+
+@dataclass(frozen=True)
 class ClosedKB:
     """The knowledge base after deductive closure.  Immutable.
 
-    Memberships are kept implicit: ``generators`` holds the sorted atoms of
-    each individual's asserted membership classes, and ``tops`` their union,
-    the individual's most specific known class (U if it has none).  A class
-    is a known membership iff its atoms are the union of the generators
-    inside it, an O(k) test for k generators; :meth:`table_classes` lists
-    all 2^k.
+    Memberships are kept implicit: ``profiles`` maps each individual to its
+    :class:`Profile`, one object per distinct generator tuple, shared by the
+    individuals that have it.
 
     ``statements`` records every asserted statement once, in the canonical
     order of the builder's views: stats, members, subsets, sentence forms,
@@ -646,19 +667,16 @@ class ClosedKB:
     forms; all labels of a class share one object of each.
 
     ``memberships``, ``universe``, ``subset_pairs`` and
-    ``subset_cycle_classes`` are views computed on first access too.  Two
-    caches fill as they are asked, keyed by a generator tuple, that is by
-    membership profile: ``_closures`` holds :meth:`table_classes`, and
-    ``_judged`` each query table judged by the inference module, per
-    (generators, property, point mode).
+    ``subset_cycle_classes`` are views computed on first access too.  The
+    cache ``_judged`` fills as it is asked: each query table judged by the
+    inference module, per (profile generators, property, point mode).
     """
 
     class_atoms: frozenset[str]
     property_atoms: frozenset[str]
     individuals: frozenset[str]
     statements: tuple[Statement, ...]
-    generators: Mapping[str, tuple[tuple[str, ...], ...]] = field(hash=False)
-    tops: Mapping[str, CanonicalClass] = field(hash=False)
+    profiles: Mapping[str, Profile] = field(hash=False)
     subset_index: SubsetIndex = field(hash=False)
     sentence_groups: Mapping[str, frozenset[str]] = field(hash=False)
     sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]] = field(hash=False)
@@ -669,21 +687,15 @@ class ClosedKB:
         return frozenset(self.table_classes(individual))
 
     def table_classes(self, individual: str) -> tuple[CanonicalClass, ...]:
-        """The individual's known memberships in table order: most atoms
-        first, then by atoms, U last.  Up to 2^k classes for k generators,
-        computed on first ask per membership profile."""
+        """The individual's known memberships in table order: :attr:`Profile.classes`."""
         _check_declared("individual", individual, self.individuals)
-        gens = self.generators[individual]
-        got = self._closures.get(gens)
-        if got is None:
-            ordered = sorted(tuple(sorted(atoms)) for atoms in _union_closure(gens))
-            ordered.sort(key=len, reverse=True)  # stable: by atoms within a size
-            got = self._closures[gens] = tuple(map(CanonicalClass._from_sorted, ordered))
-        return got
+        return self.profiles[individual].classes
 
-    @cached_property
-    def _closures(self) -> dict[tuple[tuple[str, ...], ...], tuple[CanonicalClass, ...]]:
-        return {}
+    def _per_profile(self, view: Callable[[Profile], T]) -> dict[str, T]:
+        """Each individual's `view` of its profile, computed once per distinct profile."""
+        distinct = {p.generators: p for p in self.profiles.values()}
+        views = {gens: view(p) for gens, p in distinct.items()}
+        return {ind: views[p.generators] for ind, p in self.profiles.items()}
 
     @cached_property
     def _judged(self) -> dict:
@@ -691,8 +703,8 @@ class ClosedKB:
 
     @cached_property
     def memberships(self) -> Mapping[str, frozenset[CanonicalClass]]:
-        """Every individual's known memberships."""
-        return {ind: self.known_memberships(ind) for ind in self.individuals}
+        """Every individual's known memberships, one frozenset per profile."""
+        return self._per_profile(lambda profile: frozenset(profile.classes))
 
     @cached_property
     def stat_index(self) -> StatIndex:
@@ -707,15 +719,15 @@ class ClosedKB:
     def universe(self) -> frozenset[CanonicalClass]:
         """The mentioned classes: U, every known membership, and the classes
         of stats and asserted subsets."""
-        atom_sets = {frozenset()}
-        for gens in set(self.generators.values()):
-            atom_sets |= _union_closure(gens)
+        classes = {UNIVERSAL}
+        for profile in {p.generators: p for p in self.profiles.values()}.values():
+            classes.update(profile.classes)
         for s in self.statements:
             if isinstance(s, Stat):
-                atom_sets.add(frozenset(s.cls.atoms))
+                classes.add(s.cls)
             elif isinstance(s, Subset):
-                atom_sets.update((frozenset(s.sub.atoms), frozenset(s.sup.atoms)))
-        return frozenset(CanonicalClass._from_sorted(tuple(sorted(a))) for a in atom_sets)
+                classes.update((s.sub, s.sup))
+        return frozenset(classes)
 
     @cached_property
     def subset_cycle_classes(self) -> frozenset[CanonicalClass]:
@@ -781,11 +793,6 @@ def _endpoint_ranks(intervals: list[Interval]) -> list[tuple[int, int]]:
                iv.hi.numerator * (common // iv.hi.denominator)) for iv in intervals]
     rank = {v: r for r, v in enumerate(sorted({v for pair in scaled for v in pair}))}
     return [(rank[lo], rank[hi]) for lo, hi in scaled]
-
-
-def _covered(generators: Iterable[tuple[str, ...]], atoms: frozenset[str]) -> bool:
-    """True iff `atoms` is the union of the generators it includes."""
-    return frozenset().union(*[g for g in generators if atoms.issuperset(g)]) == atoms
 
 
 def _union_closure(generators: Iterable[tuple[str, ...]]) -> set[frozenset[str]]:
@@ -863,30 +870,23 @@ def _subset_index(subsets: list[Subset]) -> SubsetIndex:
 def close(builder: KBBuilder) -> ClosedKB:
     """Compute the deductive closure of the builder's contents.
 
-    Memberships are kept as their generators (the closure under
-    intersection is implicit, see :class:`ClosedKB`), asserted subset edges are
+    Memberships are kept as shared profiles (the closure under
+    intersection is implicit, see :class:`Profile`), asserted subset edges are
     closed into their reach (structural inclusions are read off atom sets
     when asked), sentence labels are partitioned by their equivalence
     links, and statistical intervals are fused (direct assertions,
     complement reflections, the [0,1] default).  An empty fused interval
     raises InconsistencyError.
     """
-    # memberships: each individual's asserted generators, sorted, and their
-    # union.  Equal generator tuples and top classes are shared between
-    # individuals.
-    generators = dict.fromkeys(builder.individuals, ())
-    tops = dict.fromkeys(builder.individuals, UNIVERSAL)
-    shared: dict[tuple, tuple] = {}
-    top_classes: dict[frozenset[str], CanonicalClass] = {}
+    # memberships: one profile per distinct sorted generator tuple, () if none
+    shared = {(): Profile((), UNIVERSAL)}
+    profiles = dict.fromkeys(builder.individuals, shared[()])
     members = builder.members  # grouped by individual
     for ind, group in itertools.groupby(members, key=attrgetter("individual")):
         gens = tuple(sorted(m.cls.atoms for m in group))
-        generators[ind] = gens = shared.setdefault(gens, gens)
-        top = frozenset().union(*gens)
-        cls = top_classes.get(top)
-        if cls is None:
-            cls = top_classes[top] = CanonicalClass(tuple(sorted(top)))
-        tops[ind] = cls
+        if gens not in shared:
+            shared[gens] = Profile(gens, CanonicalClass(tuple(sorted(frozenset().union(*gens)))))
+        profiles[ind] = shared[gens]
 
     # subset relation: the reach of asserted edges
     subsets = builder.subsets
@@ -948,8 +948,7 @@ def close(builder: KBBuilder) -> ClosedKB:
         property_atoms=frozenset(builder.property_atoms),
         individuals=frozenset(builder.individuals),
         statements=(*stats, *members, *subsets, *builder.forms, *equivs),
-        generators=generators,
-        tops=tops,
+        profiles=profiles,
         subset_index=subset_index,
         sentence_groups=sentence_groups,
         sentence_forms=sentence_forms,

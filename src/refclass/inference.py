@@ -21,8 +21,8 @@ from .core import (
     CanonicalProperty,
     ClosedKB,
     Interval,
+    Profile,
     _classes_within,
-    _covered,
     _endpoint_ranks,
 )
 
@@ -187,10 +187,10 @@ class Trace:
         }
 
 
-def _judged_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
+def _judged_form(ckb: ClosedKB, prop: CanonicalProperty, profile: Profile,
                  point: bool) -> tuple:
-    """The sparse table for `prop` of the individual's membership profile,
-    judged, and its answer: (interval, selected class), or why it is undefined.
+    """The sparse table for `prop` of a membership profile, judged, and its
+    answer: (interval, selected class), or why it is undefined.
 
     The dense table has a row per known class, but a [0, 1] row never
     differs, so it is never deleted, never a witness, and loses resolution
@@ -202,14 +202,13 @@ def _judged_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
     or a contradiction every known class has the pinned value, and the
     table is the top class alone.
     """
-    top = ckb.tops[individual]
+    top = profile.top
     if not prop.atoms:  # a tautology or a contradiction
         row = TableRow(top, ckb.effective_interval(top, prop))
         return (row,), (row.interval, top)
-    gens = ckb.generators[individual]
     ranked = [(TableRow(cls, iv), lo, hi)
               for cls, iv, lo, hi in _classes_within(top.atoms, ckb.stat_index.get(prop) or {})
-              if (not point or lo == hi) and _covered(gens, frozenset(cls.atoms))]
+              if (not point or lo == hi) and profile.covers(cls.atoms)]
     if point and not ranked:
         return (), NO_MEMBERSHIP
     ranked.sort(key=lambda r: r[0].cls.sort_key())  # table order
@@ -223,11 +222,12 @@ def _judged_form(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
 def _form_entry(ckb: ClosedKB, prop: CanonicalProperty, individual: str,
                 point: bool) -> tuple:
     """A form's memo entry, (judged sparse rows, answer): judged once per
-    (generators, property, mode) and `ClosedKB`."""
-    key = ckb.generators[individual], prop, point
+    (profile generators, property, mode) and `ClosedKB`."""
+    profile = ckb.profiles[individual]
+    key = profile.generators, prop, point
     entry = ckb._judged.get(key)
     if entry is None:
-        entry = ckb._judged[key] = _judged_form(ckb, prop, individual, point)
+        entry = ckb._judged[key] = _judged_form(ckb, prop, profile, point)
     return entry
 
 

@@ -40,7 +40,7 @@ def test_profile_generator_reaches_every_case():
             by_individual.setdefault(m.individual, []).append(m.cls.atoms)
         orders = {}
         for ind, gens in by_individual.items():
-            orders.setdefault(ckb.generators[ind], set()).add(tuple(gens))
+            orders.setdefault(ckb.profiles[ind].generators, set()).add(tuple(gens))
         seen["same profile, other order"] += any(len(o) > 1 for o in orders.values())
         seen["no-membership individual"] += len(by_individual) < len(ckb.individuals)
         seen["stat in [0, 1]"] += rc.UNIT in ckb.stats.values()
@@ -65,12 +65,12 @@ def test_shuffled_queries_match_dense_evaluation():
             got = _call(ckb, call, sentence)
             assert got == (dense if call.startswith("explain") else dense.result)
         forms = {f for fs in ckb.sentence_forms.values() for f in fs}
-        keys = {(ckb.generators[ind], prop, point) for prop, ind in forms
+        keys = {(ckb.profiles[ind].generators, prop, point) for prop, ind in forms
                 for point in (False, True)}
         assert len(ckb._judged) == len(keys)
         for prop, ind in forms:
             for other in sorted(ckb.individuals):
-                if other != ind and ckb.generators[other] == ckb.generators[ind]:
+                if other != ind and ckb.profiles[other] == ckb.profiles[ind]:
                     assert _form_entry(ckb, prop, ind, True)[0] \
                         is _form_entry(ckb, prop, other, True)[0]
                     assert _form_trace(ckb, prop, ind, True).individual == ind
@@ -105,14 +105,19 @@ def test_warm_queries_build_no_trace_objects(monkeypatch):
 
 
 def test_equal_memberships_share_one_generator_tuple():
+    """Individuals asserted in the same classes, in any order, share one
+    `Profile` (so one generator tuple): their sorted atoms and their union."""
     for b, ckb in PROFILE_KBS:
         by_profile = {}
         for ind in ckb.individuals:
             asserted = frozenset(m.cls for m in b.members if m.individual == ind)
-            by_profile.setdefault(asserted, []).append(ckb.generators[ind])
-        for gens in by_profile.values():
-            assert all(g is gens[0] for g in gens)
-        assert len({id(g) for g in ckb.generators.values()}) == len(by_profile)
+            by_profile.setdefault(asserted, []).append(ckb.profiles[ind])
+        for classes, profiles in by_profile.items():
+            assert all(p is profiles[0] for p in profiles)
+            atoms = sorted(c.atoms for c in classes)
+            assert profiles[0].generators == tuple(atoms)
+            assert profiles[0].top.atoms == tuple(sorted({a for c in atoms for a in c}))
+        assert len({id(p) for p in ckb.profiles.values()}) == len(by_profile)
 
 
 @pytest.mark.parametrize("name", sorted(KBS) + ["profile"])
@@ -129,13 +134,16 @@ def test_answers_independent_of_query_order(name):
 
 
 def test_one_closure_per_profile():
-    """`table_classes` lists each membership profile's closure once, and
-    the twenty-membership closure of `test_sparse` is never listed."""
+    """`table_classes` and `memberships` list each membership profile's
+    closure once, and the twenty-membership closure of `test_sparse` is
+    never listed."""
     for _, ckb in PROFILE_KBS:
         for ind in ckb.individuals:
-            assert ckb.table_classes(ind) is ckb._closures[ckb.generators[ind]]
+            assert ckb.table_classes(ind) is ckb.profiles[ind].classes
+        distinct = len({p.generators for p in ckb.profiles.values()})
+        assert len({id(ckb.table_classes(ind)) for ind in ckb.individuals}) == distinct
         assert len(ckb.memberships) == len(ckb.individuals)
-        assert len(ckb._closures) == len(set(ckb.generators.values()))
+        assert len({id(known) for known in ckb.memberships.values()}) == distinct
     b = rc.KBBuilder()
     b.declare_property("p")
     b.declare_individual("i")
@@ -149,4 +157,4 @@ def test_one_closure_per_profile():
     ckb = b.close()
     assert rc.prob_interval(ckb, "S").selected == rc.CanonicalClass(("a00",))
     assert rc.prob_point(ckb, "S").interval == quarter
-    assert not vars(ckb).get("_closures")
+    assert not any("classes" in vars(p) for p in ckb.profiles.values())

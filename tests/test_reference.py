@@ -40,11 +40,12 @@ def _subclass(draw, cls: frozenset) -> frozenset:
 
 @st.composite
 def records(draw, max_atoms: int = 6, values: list = VALUES) -> KBRecord:
-    """Memberships of one to three atoms, stats on them, on unions of an
-    individual's memberships (its top class among them) and elsewhere,
-    point, interval and `[0, 1]` stats with compatible complement stats,
-    and asserted subsets in chains joined by atom-superset steps, some
-    closed into cycles."""
+    """Memberships of one to three atoms, some nested (a single atom of an
+    individual's multi-atom membership asserted as well), stats on them, on
+    unions of an individual's memberships (its top class among them) and
+    elsewhere, point, interval and `[0, 1]` stats with compatible complement
+    stats, and asserted subsets in chains joined by atom-superset steps,
+    some closed into cycles."""
     atoms = [f"c{k}" for k in range(draw(st.integers(2, max_atoms)))]
     props = [f"p{k}" for k in range(draw(st.integers(1, 2)))]
     individuals = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
@@ -53,6 +54,9 @@ def records(draw, max_atoms: int = 6, values: list = VALUES) -> KBRecord:
     unions = []
     for ind in individuals:
         mine = draw(st.lists(classes, min_size=ind != "i0", max_size=3))
+        for cls in [c for c in mine if len(c) > 1]:
+            if draw(st.booleans()):  # nested: a generator inside another
+                mine.append(frozenset([draw(st.sampled_from(sorted(cls)))]))
         rec.members += [(ind, cls) for cls in mine]
         unions += [frozenset().union(*some) for k in range(1, len(mine) + 1)
                    for some in itertools.combinations(mine, k)]

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 import refclass as rc
-from refclass.core import _covered
 from conftest import (
     asserted_subsets,
     oracle_evaluate,
@@ -61,8 +60,8 @@ def test_membership_test_matches_closure():
                 frozenset().union(*combo) for k in range(len(asserted) + 1)
                 for combo in itertools.combinations(asserted, k)}
             assert ckb.table_classes(ind) == tuple(sorted(known, key=rc.CanonicalClass.sort_key))
-            gens = ckb.generators[ind]
-            assert {c for c in classes if _covered(gens, frozenset(c.atoms))} == classes & known
+            profile = ckb.profiles[ind]
+            assert {c for c in classes if profile.covers(c.atoms)} == classes & known
         edges = sorted(asserted_subsets(ckb), key=lambda e: (e[0].sort_key(), e[1].sort_key()))
         warned = [(ind, sub, sup) for ind in sorted(ckb.individuals) for sub, sup in edges
                   if sub in ckb.memberships[ind] and sup not in ckb.memberships[ind]]
@@ -76,12 +75,12 @@ def test_wide_generator_reaches_every_case():
     """The wide KBs exercise what the sparse path treats apart."""
     seen = Counter()
     for _, ckb in KBS["wide"]:
-        seen["no-membership individual"] += any(not g for g in ckb.generators.values())
-        seen["multi-atom generator"] += any(
-            len(g) > 1 for gens in ckb.generators.values() for g in gens)
+        profiles = ckb.profiles.values()
+        seen["no-membership individual"] += any(not p.generators for p in profiles)
+        seen["multi-atom generator"] += any(len(g) > 1 for p in profiles for g in p.generators)
         seen["stat on the top class"] += any(
-            not top.is_universal and (top.atoms, p) in ckb.stats
-            for top in ckb.tops.values() for p in ckb.stat_index)
+            not p.top.is_universal and (p.top.atoms, prop) in ckb.stats
+            for p in profiles for prop in ckb.stat_index)
         seen["stat in [0, 1]"] += any(iv == rc.UNIT for iv in ckb.stats.values())
         for sentence, forms in ckb.sentence_forms.items():
             prop = forms[0][0]
@@ -139,4 +138,4 @@ def test_many_memberships_leave_the_closure_implicit():
     assert point.reason == rc.ALL_ROWS_DELETED
     cached = vars(ckb)
     assert "universe" not in cached and "memberships" not in cached
-    assert "i" not in cached.get("_closures", {})
+    assert "classes" not in vars(ckb.profiles["i"])
