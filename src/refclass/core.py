@@ -773,15 +773,14 @@ class ClosedKB:
         return frozenset(pairs)
 
     def effective_interval(self, cls: CanonicalClass, prop: CanonicalProperty) -> Interval:
-        """The fused interval, defaulting to [0,1]; tautologies/contradictions pinned."""
+        """The fused interval, or the property's prior if no statistic fuses one."""
         got = self.stats.get((cls.atoms, prop))
-        if got is not None:
-            return got
-        if prop.is_tautology:
-            return CERTAIN
-        if prop.is_contradiction:
-            return IMPOSSIBLE
-        return UNIT
+        return _prior(prop) if got is None else got
+
+
+def _prior(prop: CanonicalProperty) -> Interval:
+    """A property's interval before any statistic: 1, 0 or [0, 1]."""
+    return CERTAIN if prop.is_tautology else IMPOSSIBLE if prop.is_contradiction else UNIT
 
 
 def _endpoint_ranks(intervals: list[Interval]) -> list[tuple[int, int]]:
@@ -874,9 +873,9 @@ def close(builder: KBBuilder) -> ClosedKB:
     intersection is implicit, see :class:`Profile`), asserted subset edges are
     closed into their reach (structural inclusions are read off atom sets
     when asked), sentence labels are partitioned by their equivalence
-    links, and statistical intervals are fused (direct assertions,
-    complement reflections, the [0,1] default).  An empty fused interval
-    raises InconsistencyError.
+    links, and statistical intervals are fused: a pair's prior, narrowed by
+    its direct bounds and its complement's reflected ones.  The first empty
+    pair in canonical order raises InconsistencyError.
     """
     # memberships: one profile per distinct sorted generator tuple, () if none
     shared = {(): Profile((), UNIVERSAL)}
@@ -920,7 +919,7 @@ def close(builder: KBBuilder) -> ClosedKB:
         for s in labels:
             sentence_groups[s], sentence_forms[s] = group, forms
 
-    # fused statistics: direct ∩ reflected-complement ∩ default (∩ pinned)
+    # fused statistics: the prior, narrowed by direct and reflected complement bounds
     stats = builder.stats
     by_key: dict[tuple[tuple[str, ...], CanonicalProperty], list[Interval]] = {}
     for s in stats:
@@ -929,19 +928,15 @@ def close(builder: KBBuilder) -> ClosedKB:
     keys = set(by_key)
     keys |= {(atoms, p.negate()) for (atoms, p) in by_key}
     for atoms, p in sorted(keys, key=lambda k: (k[0], k[1].sort_key())):
-        iv: Optional[Interval] = UNIT
-        for direct in by_key.get((atoms, p), []):
-            iv = iv.intersect(direct) if iv else None
-        for comp in by_key.get((atoms, p.negate()), []):
-            iv = iv.intersect(comp.reflect()) if iv else None
-        if iv is not None:
-            if p.is_tautology:
-                iv = iv.intersect(CERTAIN)
-            elif p.is_contradiction:
-                iv = iv.intersect(IMPOSSIBLE)
-        if iv is None:
+        prior = _prior(p)
+        lo, hi = prior.lo, prior.hi
+        for iv in by_key.get((atoms, p), ()):
+            lo, hi = max(lo, iv.lo), min(hi, iv.hi)
+        for iv in by_key.get((atoms, p.negate()), ()):
+            lo, hi = max(lo, 1 - iv.hi), min(hi, 1 - iv.lo)
+        if lo > hi:
             raise InconsistencyError(CanonicalClass(atoms), p)
-        fused[(atoms, p)] = iv
+        fused[(atoms, p)] = Interval(lo, hi)
 
     return ClosedKB(
         class_atoms=frozenset(builder.class_atoms),

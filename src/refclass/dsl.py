@@ -20,12 +20,12 @@ The DSL checks syntax and number ranges, and that a sentence label is declared
 once.  Every other rule, and its message, belongs to :mod:`refclass.core`; the
 parser calls it at the token it applies to.
 
-`parse_kb` splits a document where `str.splitlines` does.  A line in one of
-the flat shapes `render` writes, with single spaces and no comment
-(``class a``, ``member i in a & b``, ``sentence S iff !p(i)``), goes straight
-to the builder calls the token parser would make.  Every other line, and a
-flat line the builder or the duplicate-label check rejects, is tokenized and
-parsed alone, so every diagnostic comes from the token parser.
+`parse_kb` and `parse_query` split text where `str.splitlines` does, and the
+tokenizer reads one line.  A KB line in a flat shape `render` writes, with
+single spaces and no comment (``class a``, ``member i in a & b``,
+``sentence S iff !p(i)``), goes straight to the builder calls the token parser
+would make.  Every other line, and a flat line a check rejects, is tokenized
+and parsed alone, so every diagnostic comes from the token parser.
 """
 
 from __future__ import annotations
@@ -46,17 +46,16 @@ from .core import (
     PropAtom,
     PropNot,
     canonicalize_property,
+    _IDENTIFIER,
     _TOO_DEEP,
     _check_declared,
 )
 
-_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # the line boundaries of str.splitlines
-
-_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_ID = _IDENTIFIER.pattern
 
 # Whitespace and comments match without a group, so their `lastgroup` is None.
 _TOKEN_RE = re.compile(
-    rf"(?P<eol>\r\n|[{_BREAKS}])|[^\S{_BREAKS}]+|#[^{_BREAKS}]*"
+    r"\s+|#.*"
     r"|(?P<num>[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)"
     rf"|(?P<id>{_ID})"
     r"|(?P<sym>[%()\[\],=<&!])"
@@ -96,26 +95,17 @@ class Token:
         self.kind, self.text, self.line, self.column = kind, text, line, column
 
 
-def _lines(text: str, line: int = 1):
-    """Yield each line's tokens, ending in an 'eol' token, and its first 'bad'
-    token or None, from one pass over `text`, whose first line is numbered
-    `line`.  Lines end where str.splitlines ends them; an empty last line is
-    yielded too, and parses to nothing."""
-    offset, tokens, bad = -1, [], None
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "eol":
-            tokens.append(Token("eol", "", line, m.start() - offset))
-            yield tokens, bad
-            line, offset, tokens, bad = line + 1, m.end() - 1, [], None
-        elif kind != "bad":
-            tokens.append(Token(kind, m[0], line, m.start() - offset))
-        elif bad is None:
-            bad = Token(kind, m[0], line, m.start() - offset)
-    tokens.append(Token("eol", "", line, len(text) - offset))
-    yield tokens, bad
+def _tokens(line: str, number: int) -> tuple[list[Token], Optional[Token]]:
+    """Line `number`'s tokens, ending in an 'eol' token, and its first 'bad'
+    token or None."""
+    tokens, bad = [], None
+    for m in _TOKEN_RE.finditer(line):
+        if m.lastgroup == "bad":
+            bad = bad or Token("bad", m[0], number, m.start() + 1)
+        elif m.lastgroup:
+            tokens.append(Token(m.lastgroup, m[0], number, m.start() + 1))
+    tokens.append(Token("eol", "", number, len(line) + 1))
+    return tokens, bad
 
 
 class _Parser:
@@ -359,11 +349,10 @@ def parse_kb(text: str) -> KBBuilder:
         m = _FLAT_RE.fullmatch(line)
         if m is not None and parser.flat(m):
             continue
-        for tokens, bad in _lines(line, number):
-            try:
-                parser.run(tokens, bad, _Parser.parse_line)
-            except DslError as e:
-                errors.append(e)
+        try:
+            parser.run(*_tokens(line, number), _Parser.parse_line)
+        except DslError as e:
+            errors.append(e)
     if errors:
         raise ParseFailure(errors)
     return parser.builder
@@ -380,8 +369,9 @@ def parse_query(text: str, builder: KBBuilder) -> str:
     canonical form.
     """
     tokens, bad = [], None
-    for line, line_bad in _lines(text.strip()):  # a line break acts as a space
-        tokens, bad = tokens[:-1] + line, bad or line_bad
+    for number, line in enumerate(text.strip().splitlines() or [""], 1):
+        line_tokens, line_bad = _tokens(line, number)  # a line break acts as a space
+        tokens, bad = tokens[:-1] + line_tokens, bad or line_bad
     return _Parser(builder).run(tokens, bad, _Parser.query)
 
 

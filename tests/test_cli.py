@@ -99,6 +99,8 @@ class TestEval:
     def test_inconsistent_exit_two(self, kb_file, capsys):
         code = run(["eval", kb_file(INCONSISTENT), "--query", "p(i)"])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "inconsistent knowledge base: empty statistical interval for %(r, !p)\n")
 
     def test_trace_included(self, kb_file, capsys):
         code = run(["eval", kb_file(CONFLICT), "--query", "S", "--json", "--trace"])

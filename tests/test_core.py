@@ -324,6 +324,20 @@ class TestClose:
         b.assert_stat(cls("r"), prop("p"), rc.Interval(Fraction(3, 5), Fraction(1)))
         with pytest.raises(rc.InconsistencyError):
             b.close()
+        # Three pairs fuse empty: two direct bounds, a stat against its
+        # complement's reflection, and a stat against a tautology's pinned
+        # value.  The canonically first pair is named, in either order.
+        header = "class a\nclass r\nproperty p\nproperty q\n"
+        stats = ["stat %(r, q) in [0, 0.2]", "stat %(r, q) in [0.5, 1]",
+                 "stat %(a, p) = 0.1", "stat %(a, !p) = 0.1",
+                 "stat %(r, !(p & !p)) = 0.5"]
+        for order in (stats, stats[::-1]):
+            b = rc.parse_kb(header + "\n".join(order) + "\n")
+            with pytest.raises(rc.InconsistencyError) as exc:
+                b.close()
+            not_p = rc.canonicalize_property(rc.PropNot(rc.PropAtom("p")))
+            assert (exc.value.cls, exc.value.prop) == (cls("a"), not_p)
+            assert str(exc.value) == "empty statistical interval for %(a, !p)"
 
     def test_no_memberships_gives_universal(self):
         b = rc.KBBuilder()

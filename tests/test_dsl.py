@@ -25,6 +25,11 @@ from refclass.dsl import KEYWORDS
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
 
+# Every boundary str.splitlines splits at; "\r" then "\n" is one.
+LINE_BREAKS = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+PADDING = ["", " ", "\t", "\x1f", "\xa0"]  # none, or whitespace that ends no line
+
 COIN_TEXT = """\
 # a fair coin
 class tosses
@@ -144,13 +149,17 @@ class TestParseQuery:
         label = rc.parse_query("!heads & heads (t14)", b)
         assert b.sentence_forms[label] == (rc.CONTRADICTION, "t14")
 
-    def test_line_break_separates_tokens(self):
+    @pytest.mark.parametrize("gap", LINE_BREAKS + ["\x1f", "\xa0"])
+    def test_line_break_separates_tokens(self, gap):
+        """A line boundary of str.splitlines, or whitespace that ends no
+        line, separates tokens; only a boundary starts line 2."""
         b = rc.parse_kb(COIN_TEXT)
-        assert rc.parse_query("heads\r\n(t14)", b) == rc.parse_query("heads(t14)", b)
+        assert rc.parse_query(f"heads{gap}(t14)", b) == rc.parse_query("heads(t14)", b)
         with pytest.raises(rc.DslError) as exc:
-            rc.parse_query("heads(\n t99)", b)
+            rc.parse_query(f"heads({gap} t99)", b)
+        where = (2, 2) if gap in LINE_BREAKS else (1, 9)
         assert (exc.value.message, exc.value.line, exc.value.column) == (
-            "undeclared individual: t99", 2, 2)
+            "undeclared individual: t99", *where)
 
     def test_undeclared_sentence(self):
         b = rc.parse_kb(COIN_TEXT)
@@ -453,13 +462,9 @@ def test_fuzz_parse_query(query):
 
 
 # ---------------------------------------------------------------------------
-# The one-pass tokenizer against the per-line parse it replaced
+# The parser against the per-line oracle
 # ---------------------------------------------------------------------------
 
-# Every boundary str.splitlines splits at; "\r" then "\n" is one.
-LINE_BREAKS = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
-               "\x85", "\u2028", "\u2029"]
-PADDING = ["", " ", "\t", "\x1f", "\xa0"]  # none, or whitespace that ends no line
 # Lines that parse after FUZZ_HEADER, however often they repeat.
 GOOD_LINES = ["stat %(a & b, !(p & !q)) in [0.25, 0.5]", "stat %(a, !p) = .5",
               "member i in a & b", "subset a < b", "", "# note"]
