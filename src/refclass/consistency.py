@@ -185,6 +185,9 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     non-decreasing type sequence.  Returns the first model in canonical
     order, or None if the bound is exhausted.
 
+    Only the atoms a mentioned class or property uses get a type bit; the
+    others are false in every element, as in the first model over all atoms.
+
     Sizes below the smallest class size some stat can hold at are skipped,
     since no model has them.  The alphabet drops the element types no model
     can use: those in an asserted subset but not its superset, the hits of a
@@ -193,10 +196,7 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     the types that complete the others; its lowest bit is the first
     completion.  Only that model is built, and :func:`verify_model` re-checks it.
     """
-    class_atoms = tuple(sorted(ckb.class_atoms))
-    property_atoms = tuple(sorted(ckb.property_atoms))
     individuals = tuple(sorted(ckb.individuals))
-    nc = len(class_atoms)
     stats = [s for s in ckb.statements if isinstance(s, Stat)]
 
     start = max(1, len(individuals))
@@ -206,8 +206,12 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
             return None
         start = max(start, smallest)
 
+    classes, props = _mentioned_classes(ckb), _mentioned_props(ckb)
+    class_atoms = sorted({a for c in classes for a in c.atoms})
+    property_atoms = sorted({a for p in props for a in p.atoms})
+    nc = len(class_atoms)
     # Bit t of a mask is set iff an element of type t is in the class (or satisfies
-    # the property).  Type t has atom i iff bit i of t is set, class atoms first.
+    # the property).  Type t has mentioned atom i iff bit i of t is set, class atoms first.
     full, atom_tables = _atom_tables(nc + len(property_atoms))
     class_bits = dict(zip(class_atoms, atom_tables))
     prop_bits = dict(zip(property_atoms, atom_tables[nc:]))
@@ -218,8 +222,8 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
             mask &= class_bits[a]
         return mask
 
-    class_masks = [class_mask(c) for c in _mentioned_classes(ckb)]
-    prop_masks = {p: p.over(prop_bits, full) for p in _mentioned_props(ckb)}
+    class_masks = [class_mask(c) for c in classes]
+    prop_masks = {p: p.over(prop_bits, full) for p in props}
     # A candidate's support (the set of types it uses) must meet every mask
     # in `must_meet`: non-empty, pairwise-distinct extensions.  Both ends of
     # an asserted subset are mentioned classes, so distinctness makes it
@@ -267,7 +271,8 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
         population = tuple((frozenset(a for i, a in enumerate(class_atoms) if t >> i & 1),
                             frozenset(a for j, a in enumerate(property_atoms) if t >> nc + j & 1))
                            for t in types)
-        model = FiniteModel(class_atoms, property_atoms, population, slot)
+        model = FiniteModel(tuple(sorted(ckb.class_atoms)), tuple(sorted(ckb.property_atoms)),
+                            population, slot)
         if not verify_model(ckb, model):
             raise RuntimeError(f"find_model: candidate {types} passed the "
                                "count tests but verify_model rejects it")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_, attrgetter, or_
-from typing import Callable, Container, Iterable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Container, Iterable, Mapping, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -130,10 +130,6 @@ class CanonicalProperty:
     def negate(self) -> "CanonicalProperty":
         # a function and its negation depend on the same atoms
         return CanonicalProperty(self.atoms, self.table ^ ((1 << (1 << len(self.atoms))) - 1))
-
-    def conjoin(self, other: "CanonicalProperty") -> "CanonicalProperty":
-        return _reduced(tuple(sorted(set(self.atoms) | set(other.atoms))),
-                        lambda tables, full: self.over(tables, full) & other.over(tables, full))
 
     def evaluate(self, true_atoms: Iterable[str]) -> bool:
         """Truth value under the assignment where exactly `true_atoms` hold."""
@@ -255,15 +251,14 @@ PropExpr = Union[PropAtom, PropNot, PropAnd]
 _TOO_DEEP = "expression nested too deeply"
 
 
-def canonicalize_class(expr: ClassExpr, declared: Optional[set[str]] = None) -> CanonicalClass:
-    """Flatten an intersection tree into a sorted atom set."""
+def canonicalize_class(expr: ClassExpr) -> CanonicalClass:
+    """Flatten an intersection tree into a sorted atom set.  The atoms are
+    not checked against any declaration: :class:`KBBuilder` does that."""
     atoms: set[str] = set()
     stack = [expr]
-    while stack:  # left to right, so the first undeclared atom is reported
+    while stack:
         e = stack.pop()
         if isinstance(e, ClassAtom):
-            if declared is not None:
-                _check_declared("class", e.name, declared)
             atoms.add(e.name)
         elif isinstance(e, ClassAnd):
             stack += (e.right, e.left)
@@ -272,16 +267,15 @@ def canonicalize_class(expr: ClassExpr, declared: Optional[set[str]] = None) -> 
     return CanonicalClass(tuple(sorted(atoms)))
 
 
-def canonicalize_property(expr: PropExpr, declared: Optional[set[str]] = None) -> CanonicalProperty:
+def canonicalize_property(expr: PropExpr) -> CanonicalProperty:
     """Canonicalize a !/& formula to its reduced truth table.
 
-    A tree too deep for the interpreter's stack raises ValidationError."""
+    The atoms are not checked against any declaration: :class:`KBBuilder`
+    does that.  A tree too deep for the interpreter's stack raises ValidationError."""
     mentioned: set[str] = set()
 
     def collect(e: PropExpr):
         if isinstance(e, PropAtom):
-            if declared is not None:
-                _check_declared("property", e.name, declared)
             mentioned.add(e.name)
         elif isinstance(e, PropNot):
             collect(e.arg)
@@ -341,13 +335,6 @@ class Interval:
 
     def reflect(self) -> "Interval":
         return Interval(1 - self.hi, 1 - self.lo)
-
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
 
     def __str__(self) -> str:
         if self.is_point:
@@ -681,10 +668,6 @@ class ClosedKB:
     sentence_groups: Mapping[str, frozenset[str]] = field(hash=False)
     sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]] = field(hash=False)
     stats: Mapping[tuple[tuple[str, ...], CanonicalProperty], Interval] = field(hash=False)
-
-    def known_memberships(self, individual: str) -> frozenset[CanonicalClass]:
-        """U and every union of the individual's generators."""
-        return frozenset(self.table_classes(individual))
 
     def table_classes(self, individual: str) -> tuple[CanonicalClass, ...]:
         """The individual's known memberships in table order: :attr:`Profile.classes`."""

@@ -142,6 +142,9 @@ def test_c7_survivor_nesting():
 
 @criterion(8, "filter_rows matches the literal clause-by-clause brute-force oracle")
 def test_c8_filter_oracle():
+    def live(rows):
+        return {r.cls for r in rows if r.status == "live"}
+
     corpora = CORPUS_TOTALITY + CORPUS_EQUIV + CORPUS_MODELED
     for _, ckb in corpora:
         for label in ckb.sentence_forms:
@@ -149,10 +152,21 @@ def test_c8_filter_oracle():
                 trace = rc.explain(ckb, label, mode)
                 for form in trace.forms:
                     rows = [rc.TableRow(r.cls, r.interval) for r in form.rows]
-                    got = {r.cls for r in form.rows if r.status == "live"}
                     want = set(oracle_filter(
                         rows, functools.partial(oracle_subset_known, ckb)))
-                    assert got == want
+                    assert live(form.rows) == want
+                    assert live(rc.filter_rows(ckb, rows)) == want
+    # Two rows of one class differ, but a row is never judged against its
+    # own class, so both stay live.
+    b = rc.KBBuilder()
+    b.declare_class("a")
+    ckb = b.close()
+    rows = [rc.TableRow(cls("a"), rc.Interval.point(Fraction(3, 10))),
+            rc.TableRow(cls("a"), rc.Interval.point(Fraction(6, 10))),
+            rc.TableRow(rc.UNIVERSAL, rc.UNIT)]
+    got = rc.filter_rows(ckb, rows)
+    assert set(oracle_filter(rows, functools.partial(oracle_subset_known, ckb))) == live(got)
+    assert [r.status for r in got] == ["live"] * 3
 
 
 @criterion(9, "Bayes preservation: posterior 19/118 via the intersection class")

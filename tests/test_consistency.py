@@ -10,6 +10,7 @@ from conftest import (
     naive_model_exists,
     oracle_find_model,
     random_arith_builder,
+    random_builder,
     random_equiv_builder,
     random_pruned_builder,
     random_sane_kbs,
@@ -168,6 +169,16 @@ class TestArithmeticPrecheck:
         assert model.to_dict() == oracle_find_model(ckb, 3).to_dict()
         assert len(verify_calls) == 1
 
+    @pytest.mark.parametrize("interval, n_max, smallest", [
+        (rc.Interval.point(Fraction(3, 10)), 12, 10),
+        (rc.Interval.point(Fraction(3, 10)), 9, None),
+        (rc.Interval(Fraction(3, 10), Fraction(7, 20)), 12, 3),
+    ])
+    def test_smallest_extension(self, interval, n_max, smallest):
+        # the least m with an integer in [lo·m, hi·m]: lo·m rounded up, hi·m down
+        stat = rc.Stat(cls("a"), prop("p"), interval)
+        assert consistency._smallest_extension(stat, n_max) == smallest
+
 
 class TestPrunedAlphabet:
     def test_refuted_before_any_search(self, verify_calls):
@@ -241,6 +252,16 @@ class TestVerifyModel:
         assert rc.verify_model(ckb, good)
 
 
+def with_unused_atoms(rng, **shape):
+    """A random builder that also declares a class atom and a property atom
+    no statement uses, named to sort between the used ones."""
+    b = random_builder(rng, **shape)
+    if b is not None:
+        b.declare_class("c0u")
+        b.declare_property("p0u")
+    return b
+
+
 class TestOracleEquivalence:
     def test_matches_naive_enumeration(self):
         """Symmetry-broken search vs full enumeration, at desk scale."""
@@ -256,7 +277,8 @@ class TestOracleEquivalence:
         (6061, 60, dict(make=random_arith_builder), 4),
         (6062, 20, dict(make=random_pruned_builder), 3),
         (6063, 12, dict(make=random_equiv_builder), 4),
-    ], ids=["random", "arith", "pruned", "equiv"])
+        (6064, 16, dict(make=with_unused_atoms, max_classes=2, max_props=1, max_inds=2), 3),
+    ], ids=["random", "arith", "pruned", "equiv", "unused"])
     def test_matches_previous_search(self, seed, count, shape, max_bound):
         """The same first model as the exhaustive search, at every bound."""
         for _, ckb in random_sane_kbs(seed, count, **shape):
@@ -264,6 +286,24 @@ class TestOracleEquivalence:
                 got, want = rc.find_model(ckb, bound), oracle_find_model(ckb, bound)
                 assert (got and got.to_dict()) == (want and want.to_dict()), \
                     (str(ckb.statements), bound)
+
+    def test_unused_atoms_get_no_bit(self):
+        """40 declared class atoms and only a0 mentioned: the same model as
+        with a0 alone, found without a type space over every atom."""
+        def kb(n_classes):
+            b = rc.KBBuilder()
+            for k in range(n_classes):
+                b.declare_class(f"a{k}")
+            b.declare_property("p")
+            b.declare_individual("i")
+            b.assert_member("i", cls("a0"))
+            b.assert_stat(cls("a0"), prop("p"), rc.Interval.point(Fraction(1, 2)))
+            return b.close()
+
+        want = rc.find_model(kb(1), 3)
+        got = rc.find_model(kb(40), 3)
+        assert want is not None and got.to_dict() == want.to_dict()
+        assert got.class_atoms == tuple(sorted(f"a{k}" for k in range(40)))
 
     def test_model_search_sound_wrt_close(self):
         kbs = random_sane_kbs(777, 20, max_classes=2, max_props=2, max_inds=1,

@@ -38,17 +38,11 @@ class TestCanonicalizeClass:
         )
         assert rc.canonicalize_class(expr) == cls("a", "b", "c")
 
-    def test_undeclared_atom(self):
-        with pytest.raises(rc.DeclarationError, match="^undeclared class: zebra$"):
-            rc.canonicalize_class(rc.ClassAtom("zebra"), declared={"a"})
-
     def test_deep_tree(self):
         expr = rc.ClassAtom("a")
         for _ in range(5000):
             expr = rc.ClassAnd(expr, rc.ClassAtom("b"))
-        assert rc.canonicalize_class(expr, {"a", "b"}) == cls("a", "b")
-        with pytest.raises(rc.DeclarationError, match="^undeclared class: a$"):
-            rc.canonicalize_class(expr, {"b"})
+        assert rc.canonicalize_class(expr) == cls("a", "b")
 
     def test_deep_non_class_tree(self):
         expr = rc.PropAtom("p")
@@ -126,14 +120,10 @@ class TestCanonicalizeProperty:
         )
         assert p.negate().negate() == p
 
-    def test_undeclared_atom(self):
-        with pytest.raises(rc.DeclarationError, match="^undeclared property: q$"):
-            rc.canonicalize_property(rc.PropAtom("q"), declared={"p"})
-
     def test_twenty_atoms(self):
-        """A 20-atom conjunction and its negation, parsed: negate, conjoin and
-        evaluate agree with the oracle on sampled assignments, and atoms a
-        formula ignores are dropped."""
+        """A 20-atom conjunction and its negation, parsed: negate, conjunctions
+        of its parts, and evaluate agree with the oracle on sampled
+        assignments, and atoms a formula ignores are dropped."""
         names = [f"p{k}" for k in range(20)]
 
         def conj_of(atoms):
@@ -151,19 +141,20 @@ class TestCanonicalizeProperty:
         assert conj.atoms == neg.atoms == tuple(sorted(names))
         assert conj.negate() == neg and neg.negate() == conj
         assert dropped == prop("p0")
-        low, high = rc.canonicalize_property(low_expr), rc.canonicalize_property(high_expr)
-        assert low.conjoin(high) == conj and conj.conjoin(prop("p0")) == conj
+        halves = rc.canonicalize_property(rc.PropAnd(low_expr, high_expr))
+        assert halves == conj
+        assert rc.canonicalize_property(rc.PropAnd(conj_expr, rc.PropAtom("p0"))) == conj
         mixed_expr = rc.PropAnd(low_expr, rc.PropNot(rc.PropAtom("p12")))
-        mixed = low.conjoin(prop("p12").negate())
+        mixed = rc.canonicalize_property(mixed_expr)
         assert mixed.atoms == tuple(sorted(names[:10] + ["p12"]))
-        assert conj.conjoin(mixed) == rc.CONTRADICTION
+        assert rc.canonicalize_property(rc.PropAnd(conj_expr, mixed_expr)) == rc.CONTRADICTION
         rng = random.Random(20)
         samples = [set(names), set(names) - {"p12"}, set()]
         samples += [{a for a in names if rng.random() < 0.9} for _ in range(60)]
         for s in samples:
             assert conj.evaluate(s) == _holds(conj_expr, s)
             assert neg.evaluate(s) == conj.negate().evaluate(s) == _holds(rc.PropNot(conj_expr), s)
-            assert low.conjoin(high).evaluate(s) == _holds(rc.PropAnd(low_expr, high_expr), s)
+            assert halves.evaluate(s) == _holds(rc.PropAnd(low_expr, high_expr), s)
             assert mixed.evaluate(s) == _holds(mixed_expr, s)
 
     @pytest.mark.parametrize("kind", ["negation", "conjunction"])
@@ -205,11 +196,6 @@ class TestInterval:
     def test_reflect(self):
         iv = rc.Interval(Fraction(1, 10), Fraction(2, 5))
         assert iv.reflect() == rc.Interval(Fraction(3, 5), Fraction(9, 10))
-
-    def test_intersect_empty(self):
-        assert rc.Interval(Fraction(0), Fraction(1, 4)).intersect(
-            rc.Interval(Fraction(1, 2), Fraction(1))
-        ) is None
 
 
 class TestAssert:
@@ -299,7 +285,7 @@ class TestClose:
         b.assert_member("t14", cls("tosses"))
         b.assert_member("t14", cls("by_sam"))
         ckb = b.close()
-        assert ckb.known_memberships("t14") == frozenset(
+        assert ckb.memberships["t14"] == frozenset(
             {rc.UNIVERSAL, cls("tosses"), cls("by_sam"), cls("tosses", "by_sam")}
         )
 
@@ -343,7 +329,7 @@ class TestClose:
         b = rc.KBBuilder()
         b.declare_individual("i")
         ckb = b.close()
-        assert ckb.known_memberships("i") == frozenset({rc.UNIVERSAL})
+        assert ckb.memberships["i"] == frozenset({rc.UNIVERSAL})
 
     def test_duplicate_membership(self):
         b = rc.KBBuilder()
@@ -352,7 +338,7 @@ class TestClose:
         b.assert_member("i", cls("a"))
         b.assert_member("i", cls("a"))
         ckb = b.close()
-        assert ckb.known_memberships("i") == frozenset({rc.UNIVERSAL, cls("a")})
+        assert ckb.memberships["i"] == frozenset({rc.UNIVERSAL, cls("a")})
 
     def test_idempotence(self):
         from conftest import closure_signature
@@ -372,10 +358,10 @@ class TestClose:
         b = rc.KBBuilder()
         b.declare_property("p")
         b.declare_individual("i")
-        base = rc.canonicalize_property(rc.PropAtom("p"))
         for k in range(500):
             b.declare_property(f"q{k}")
-            b.declare_sentence(f"S{k}", base.conjoin(prop(f"q{k}")), "i")
+            both = rc.canonicalize_property(rc.PropAnd(rc.PropAtom("p"), rc.PropAtom(f"q{k}")))
+            b.declare_sentence(f"S{k}", both, "i")
             if k:
                 b.assert_equiv(f"S{k - 1}", f"S{k}")
         calls = 0

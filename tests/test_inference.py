@@ -188,7 +188,8 @@ class TestProbPoint:
 
     def test_contradiction_query(self, coin_kb):
         b = coin_builder()
-        bot = prop("heads").conjoin(prop("heads").negate())
+        heads = rc.PropAtom("heads")
+        bot = rc.canonicalize_property(rc.PropAnd(heads, rc.PropNot(heads)))
         b.declare_sentence("B", bot, "t14")
         res = rc.prob_point(b.close(), "B")
         assert res.defined

@@ -109,15 +109,14 @@ def test_property_negate_matches_canonical_negation(expr):
 
 @given(prop_exprs(), prop_exprs())
 def test_property_conjoin_commutative(e1, e2):
-    p1, p2 = rc.canonicalize_property(e1), rc.canonicalize_property(e2)
-    assert p1.conjoin(p2) == p2.conjoin(p1)
+    assert rc.canonicalize_property(rc.PropAnd(e1, e2)) == rc.canonicalize_property(rc.PropAnd(e2, e1))
 
 
 @given(prop_exprs(), prop_exprs(), prop_exprs())
 @settings(max_examples=50)
 def test_property_conjoin_associative(e1, e2, e3):
-    p1, p2, p3 = (rc.canonicalize_property(e) for e in (e1, e2, e3))
-    assert p1.conjoin(p2).conjoin(p3) == p1.conjoin(p2.conjoin(p3))
+    assert (rc.canonicalize_property(rc.PropAnd(rc.PropAnd(e1, e2), e3))
+            == rc.canonicalize_property(rc.PropAnd(e1, rc.PropAnd(e2, e3))))
 
 
 def _oracle_key(expr):
@@ -149,7 +148,7 @@ KBS = random_sane_kbs(1201, 60, allow_equiv=True)
 def test_membership_closed_under_intersection():
     for _, ckb in KBS:
         for ind in ckb.individuals:
-            ms = ckb.known_memberships(ind)
+            ms = ckb.memberships[ind]
             for c1, c2 in itertools.combinations(ms, 2):
                 assert c1.intersect(c2) in ms
 
@@ -222,7 +221,7 @@ def test_close_monotone():
         except rc.InconsistencyError:
             continue
         for ind in before.individuals:
-            assert before.known_memberships(ind) <= after.known_memberships(ind)
+            assert before.memberships[ind] <= after.memberships[ind]
         assert before.subset_pairs <= after.subset_pairs
         for label, group in before.sentence_groups.items():
             assert group <= after.sentence_groups[label]

@@ -55,7 +55,7 @@ def test_membership_test_matches_closure():
         for ind in sorted(ckb.individuals):
             asserted = [frozenset(s.cls.atoms) for s in ckb.statements
                         if isinstance(s, rc.Member) and s.individual == ind]
-            known = ckb.known_memberships(ind)
+            known = ckb.memberships[ind]
             assert {frozenset(c.atoms) for c in known} == {
                 frozenset().union(*combo) for k in range(len(asserted) + 1)
                 for combo in itertools.combinations(asserted, k)}
