@@ -101,13 +101,11 @@ class FiniteModel:
 
 
 def _mentioned_classes(ckb: ClosedKB) -> list[CanonicalClass]:
-    return sorted((c for c in ckb.universe if not c.is_universal),
-                  key=CanonicalClass.sort_key)
+    return [c for c in ckb.universe if not c.is_universal]
 
 
-def _mentioned_props(ckb: ClosedKB) -> list[CanonicalProperty]:
-    props = {s.prop for s in ckb.statements if isinstance(s, (Stat, SentenceForm))}
-    return sorted(props, key=CanonicalProperty.sort_key)
+def _mentioned_props(ckb: ClosedKB) -> set[CanonicalProperty]:
+    return {s.prop for s in ckb.statements if isinstance(s, (Stat, SentenceForm))}
 
 
 def _sentence_classes(ckb: ClosedKB) -> list[tuple[tuple[CanonicalProperty, str], ...]]:
@@ -117,7 +115,10 @@ def _sentence_classes(ckb: ClosedKB) -> list[tuple[tuple[CanonicalProperty, str]
 
 
 def verify_model(ckb: ClosedKB, model: FiniteModel) -> bool:
-    """Re-check every statement against the model, independent of the search."""
+    """Re-check every statement against the model, independent of the search:
+    it reads only the KB's statements and the model.  Extensions are built once
+    per mentioned class and property; a repeated one shows as a smaller set of
+    them, and a sentence form's truth is read from its property's extension."""
     n = len(model.population)
     if n == 0:
         return False
@@ -130,21 +131,14 @@ def verify_model(ckb: ClosedKB, model: FiniteModel) -> bool:
     if len(set(model.individual_map.values())) != len(model.individual_map):
         return False
 
-    classes = _mentioned_classes(ckb)
-    exts = {c: frozenset(model.extension(c)) for c in classes}
-    for c in classes:
-        if not exts[c]:
-            return False
-    for a, b in itertools.combinations(classes, 2):
-        if exts[a] == exts[b]:
-            return False
-    props = _mentioned_props(ckb)
-    prop_exts = {
-        p: frozenset(k for k in range(n) if model.satisfies(p, k)) for p in props
-    }
-    for a, b in itertools.combinations(props, 2):
-        if prop_exts[a] == prop_exts[b]:
-            return False
+    # mentioned classes and properties have non-empty, pairwise-distinct extensions
+    exts = {c: frozenset(model.extension(c)) for c in _mentioned_classes(ckb)}
+    if not all(exts.values()) or len(set(exts.values())) < len(exts):
+        return False
+    prop_exts = {p: frozenset(k for k in range(n) if model.satisfies(p, k))
+                 for p in _mentioned_props(ckb)}
+    if len(set(prop_exts.values())) < len(prop_exts):
+        return False
 
     for s in ckb.statements:
         if isinstance(s, Stat):
@@ -160,8 +154,9 @@ def verify_model(ckb: ClosedKB, model: FiniteModel) -> bool:
             if not (exts[s.sub] < exts[s.sup]):
                 return False
     # every class of equivalent sentences must get one truth value
+    # (each form's property is a mentioned one)
     for forms in _sentence_classes(ckb):
-        if len({model.satisfies(prop, model.individual_map[ind]) for prop, ind in forms}) > 1:
+        if len({model.individual_map[ind] in prop_exts[prop] for prop, ind in forms}) > 1:
             return False
     return True
 
@@ -192,9 +187,12 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     since no model has them.  The alphabet drops the element types no model
     can use: those in an asserted subset but not its superset, the hits of a
     stat ``= 0`` and the misses of a stat ``= 1``; a class or a distinction
-    left with no type refutes the KB at once.  The last slot is one mask of
-    the types that complete the others; its lowest bit is the first
-    completion.  Only that model is built, and :func:`verify_model` re-checks it.
+    left with no type refutes the KB at once.  One loop fills every slot but
+    the last; the last is a mask of the types that complete the others, ANDed
+    with the last individual's type when every slot is an individual's.  Its
+    lowest bit is the first completion.  Only that model is built, and
+    :func:`verify_model` re-checks it.  The masks are only ANDed and tested, so
+    the order of the mentioned classes and properties is never read.
     """
     individuals = tuple(sorted(ckb.individuals))
     stats = [s for s in ckb.statements if isinstance(s, Stat)]
@@ -216,27 +214,25 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
     class_bits = dict(zip(class_atoms, atom_tables))
     prop_bits = dict(zip(property_atoms, atom_tables[nc:]))
 
-    def class_mask(cls: CanonicalClass) -> int:
-        mask = full
-        for a in cls.atoms:
-            mask &= class_bits[a]
-        return mask
-
-    class_masks = [class_mask(c) for c in classes]
+    class_masks = dict.fromkeys(classes, full)
+    for c in classes:
+        for a in c.atoms:
+            class_masks[c] &= class_bits[a]
     prop_masks = {p: p.over(prop_bits, full) for p in props}
     # A candidate's support (the set of types it uses) must meet every mask
     # in `must_meet`: non-empty, pairwise-distinct extensions.  Both ends of
     # an asserted subset are mentioned classes, so distinctness makes it
     # proper once the alphabet has dropped the types in sub but not in sup.
-    must_meet = class_masks + [a ^ b for a, b in itertools.combinations(class_masks, 2)]
+    must_meet = list(class_masks.values())
+    must_meet += [a ^ b for a, b in itertools.combinations(class_masks.values(), 2)]
     must_meet += [a ^ b for a, b in itertools.combinations(prop_masks.values(), 2)]
     alphabet = full
     for s in ckb.statements:
         if isinstance(s, Subset):
-            alphabet &= ~class_mask(s.sub) | class_mask(s.sup)
+            alphabet &= ~class_masks[s.sub] | class_masks[s.sup]
     stat_tests = []
     for s in stats:
-        cls = class_mask(s.cls)
+        cls = class_masks[s.cls]
         hit = cls & prop_masks[s.prop]
         lo, hi = s.interval.lo, s.interval.hi
         alphabet &= ~(hit if hi == 0 else cls & ~hit if lo == 1 else 0)
@@ -280,21 +276,20 @@ def find_model(ckb: ClosedKB, n_max: int) -> Optional[FiniteModel]:
 
     # An individual's types are the alphabet's in its most specific known class.
     letters = _bits(alphabet)
-    choice_lists = [_bits(alphabet & class_mask(ckb.profiles[i].top)) for i in individuals]
+    choice_lists = [_bits(alphabet & class_masks.get(ckb.profiles[i].top, full))
+                    for i in individuals]
     m = len(individuals)
     for n in range(start, n_max + 1):
         for ind_types in itertools.product(*choice_lists):
             if any(len({mask >> ind_types[k] & 1 for mask, k in forms}) > 1
                    for forms in form_groups):
                 continue  # equivalent sentence forms disagree
-            if n == m:
-                if completions(ind_types[:-1]) >> ind_types[-1] & 1:
-                    return model_of(ind_types)
-                continue
-            # The other anonymous slots in canonical order; the lowest completion
-            # is >= prefix[-1], or it would have completed an earlier prefix.
-            for prefix in itertools.combinations_with_replacement(letters, n - m - 1):
-                fits = completions(ind_types + prefix)
+            # The last slot is the last individual's if n == m, else an anonymous one
+            # after the others in canonical order: the lowest completion is >= prefix[-1],
+            # or it would have completed an earlier prefix.
+            head, last = (ind_types[:-1], 1 << ind_types[-1]) if n == m else (ind_types, alphabet)
+            for prefix in itertools.combinations_with_replacement(letters, n - 1 - len(head)):
+                fits = completions(head + prefix) & last
                 if fits:
-                    return model_of(ind_types + prefix + ((fits & -fits).bit_length() - 1,))
+                    return model_of(head + prefix + ((fits & -fits).bit_length() - 1,))
     return None

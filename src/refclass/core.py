@@ -191,21 +191,6 @@ def _atom_tables(n: int) -> tuple[int, list[int]]:
     return (1 << size) - 1, tables
 
 
-def _reduced(atoms: tuple[str, ...], table_of) -> CanonicalProperty:
-    """The property `table_of(tables, full)` computes from each atom's table,
-    less the atoms it does not depend on: those whose two halves of the table
-    are equal.  If any is dropped, the table is recomputed over the rest,
-    with the dropped atoms' tables 0."""
-    full, per_atom = _atom_tables(len(atoms))
-    table = table_of(dict(zip(atoms, per_atom)), full)
-    keep = tuple(a for i, (a, t) in enumerate(zip(atoms, per_atom))
-                 if (table & t) >> (1 << i) != table & ~t)
-    if keep != atoms:
-        full, per_atom = _atom_tables(len(keep))
-        table = table_of(dict.fromkeys(atoms, 0) | dict(zip(keep, per_atom)), full)
-    return CanonicalProperty(keep, table)
-
-
 TAUTOLOGY = CanonicalProperty((), 1)
 CONTRADICTION = CanonicalProperty((), 0)
 
@@ -294,7 +279,17 @@ def canonicalize_property(expr: PropExpr) -> CanonicalProperty:
 
     try:
         collect(expr)
-        return _reduced(tuple(sorted(mentioned)), lambda tables, full: table(expr, tables, full))
+        # Drop the atoms the table does not depend on, those whose two halves of
+        # the table are equal; then rebuild it over the rest, the dropped atoms' tables 0.
+        atoms = tuple(sorted(mentioned))
+        full, per_atom = _atom_tables(len(atoms))
+        t = table(expr, dict(zip(atoms, per_atom)), full)
+        keep = tuple(a for i, (a, at) in enumerate(zip(atoms, per_atom))
+                     if (t & at) >> (1 << i) != t & ~at)
+        if keep != atoms:
+            full, per_atom = _atom_tables(len(keep))
+            t = table(expr, dict.fromkeys(atoms, 0) | dict(zip(keep, per_atom)), full)
+        return CanonicalProperty(keep, t)
     except RecursionError:
         raise ValidationError(_TOO_DEEP) from None
 
@@ -418,24 +413,22 @@ class KBBuilder:
     # -- declarations -------------------------------------------------
 
     def declare_class(self, name: str) -> None:
-        _check_identifier(name)
-        if name == UNIVERSAL_NAME:
+        if name == UNIVERSAL_NAME:  # a valid identifier, so this is the first check it fails
             raise DeclarationError(f"class name {UNIVERSAL_NAME!r} is reserved")
-        if name in self.class_atoms:
-            raise DeclarationError(f"duplicate class declaration: {name}")
-        self.class_atoms.add(name)
+        self._declare("class", name, self.class_atoms)
 
     def declare_property(self, name: str) -> None:
-        _check_identifier(name)
-        if name in self.property_atoms:
-            raise DeclarationError(f"duplicate property declaration: {name}")
-        self.property_atoms.add(name)
+        self._declare("property", name, self.property_atoms)
 
     def declare_individual(self, name: str) -> None:
+        self._declare("individual", name, self.individuals)
+
+    @staticmethod
+    def _declare(kind: str, name: str, declared: set[str]) -> None:
         _check_identifier(name)
-        if name in self.individuals:
-            raise DeclarationError(f"duplicate individual declaration: {name}")
-        self.individuals.add(name)
+        if name in declared:
+            raise DeclarationError(f"duplicate {kind} declaration: {name}")
+        declared.add(name)
 
     def declare_sentence(self, label: str, prop: CanonicalProperty, individual: str) -> None:
         """Declare `label <-> prop(individual)`.
