@@ -27,6 +27,7 @@ from .core import (
     Subset,
     _atom_tables,
     _bits,
+    _classes_within,
 )
 
 
@@ -56,15 +57,15 @@ def sanity_check(ckb: ClosedKB) -> SanityReport:
     # membership is flagged as missing knowledge, not an error.  Only the
     # edges whose subclass lies within the individual's top class can fire,
     # and which do depends on its membership profile alone.
-    subsets = [s for s in ckb.statements if isinstance(s, Subset)]  # grouped by subclass
-    edges = {sub: list(group) for sub, group in itertools.groupby(subsets, lambda s: s.sub.atoms)}
+    edges = ckb.subset_index.edges
     unmet: dict[tuple[tuple[str, ...], ...], list[Subset]] = {}
     for ind in sorted(ckb.individuals):
         profile = ckb.profiles[ind]
         if profile.generators not in unmet:
-            within = sorted(ckb.subset_index.within(profile.top.atoms), key=lambda a: (-len(a), a))
-            unmet[profile.generators] = [s for sub in within if profile.covers(sub)
-                                         for s in edges[sub] if not profile.covers(s.sup.atoms)]
+            groups = sorted(_classes_within(profile.top.atoms, edges),
+                            key=lambda group: group[0].sub.sort_key())
+            unmet[profile.generators] = [s for group in groups if profile.covers(group[0].sub.atoms)
+                                         for s in group if not profile.covers(s.sup.atoms)]
         for s in unmet[profile.generators]:
             report.warnings.append(
                 f"{ind} is known to be in {s.sub} and {s.sub} < {s.sup} is asserted, "

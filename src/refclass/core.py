@@ -560,29 +560,24 @@ class SubsetIndex:
     """Known inclusion through asserted subsets, as bitsets over the distinct
     asserted superclasses in canonical order (bit k is ``superclasses[k]``).
 
-    ``reach`` maps each asserted subclass's atoms to the superclasses its
-    edges lead to, directly or along chains; ``by_atom`` lists the asserted
-    subclasses by first atom; ``with_atom`` maps a class atom to the
-    superclasses that have it.
+    ``edges`` maps each asserted subclass's atoms to its ``Subset``
+    statements in canonical order; ``reach`` maps the same atoms to the
+    superclasses those edges lead to, directly or along chains;
+    ``with_atom`` maps a class atom to the superclasses that have it.
     """
 
     superclasses: tuple[CanonicalClass, ...]
+    edges: dict[tuple[str, ...], list[Subset]]
     reach: dict[tuple[str, ...], int]
-    by_atom: dict[str, list[tuple[str, ...]]]
     with_atom: dict[str, int]
     _below: dict = field(default_factory=dict, repr=False, compare=False)
     _above: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def within(self, atoms: tuple[str, ...]) -> list[tuple[str, ...]]:
-        """The asserted subclasses among `atoms`: their edges fire at its class."""
-        have = set(atoms)
-        return [sub for a in atoms for sub in self.by_atom.get(a, ()) if have.issuperset(sub)]
 
     def below(self, atoms: tuple[str, ...]) -> int:
         """The superclasses the class of `atoms` reaches, cached."""
         got = self._below.get(atoms)
         if got is None:
-            got = self._below[atoms] = reduce(or_, map(self.reach.get, self.within(atoms)), 0)
+            got = self._below[atoms] = reduce(or_, _classes_within(atoms, self.reach), 0)
         return got
 
     def above(self, atoms: tuple[str, ...]) -> int:
@@ -737,11 +732,11 @@ class ClosedKB:
         Computed on first access: only the closure dump reads it.
         """
         index = self.subset_index
-        by_atoms = {c.atoms: c for c in self.universe}
-        within_sup = [_classes_within(sup.atoms, by_atoms) for sup in index.superclasses]
+        universe = {c.atoms: c for c in self.universe}
+        within_sup = [_classes_within(sup.atoms, universe) for sup in index.superclasses]
         pairs: set[tuple[CanonicalClass, CanonicalClass]] = set()
         for c in self.universe:
-            supers = set(_classes_within(c.atoms, by_atoms))
+            supers = set(_classes_within(c.atoms, universe))
             for k in _bits(index.below(c.atoms)):
                 supers.update(within_sup[k])
             supers.discard(c)
@@ -778,13 +773,14 @@ def _union_closure(generators: Iterable[tuple[str, ...]]) -> set[frozenset[str]]
     return closed
 
 
-def _classes_within(atoms: tuple[str, ...], by_atoms: Mapping[tuple[str, ...], T]) -> list[T]:
-    """The values of `by_atoms` whose atom keys are a subset of `atoms`."""
-    if 1 << len(atoms) <= len(by_atoms):
-        return [by_atoms[sub] for k in range(len(atoms) + 1)
-                for sub in itertools.combinations(atoms, k) if sub in by_atoms]
+def _classes_within(atoms: tuple[str, ...], keyed: Mapping[tuple[str, ...], T]) -> list[T]:
+    """The values of `keyed` whose atom keys are a subset of `atoms`.  Looking
+    subsets up needs sorted atom tuples: every caller passes canonical ones."""
+    if 1 << len(atoms) <= len(keyed):
+        return [keyed[sub] for k in range(len(atoms) + 1)
+                for sub in itertools.combinations(atoms, k) if sub in keyed]
     have = set(atoms)
-    return [c for sub, c in by_atoms.items() if have.issuperset(sub)]
+    return [c for sub, c in keyed.items() if have.issuperset(sub)]
 
 
 def _bits(mask: int) -> list[int]:
@@ -799,16 +795,14 @@ def _subset_index(subsets: list[Subset]) -> SubsetIndex:
     iterative Tarjan, 1972; Nuutila 1995)."""
     sups = sorted({s.sup for s in subsets}, key=CanonicalClass.sort_key)
     bit = {c: k for k, c in enumerate(sups)}
-    heads: dict[tuple[str, ...], list[int]] = {}  # subclass -> its edges' superclasses
-    for s in subsets:
-        heads.setdefault(s.sub.atoms, []).append(bit[s.sup])
     index = SubsetIndex(tuple(sups), {}, {}, {})
-    for sub in heads:
-        index.by_atom.setdefault(sub[0], []).append(sub)
+    for s in subsets:
+        index.edges.setdefault(s.sub.atoms, []).append(s)
     for k, c in enumerate(sups):
         for a in c.atoms:
             index.with_atom[a] = index.with_atom.get(a, 0) | 1 << k
-    succ = [[j for sub in index.within(c.atoms) for j in heads[sub]] for c in sups]
+    succ = [[bit[s.sup] for group in _classes_within(c.atoms, index.edges) for s in group]
+            for c in sups]
     n = len(sups)
     order, low, reach, stack, visits = [0] * n, [0] * n, [0] * n, [], 0
     for root in range(n):
@@ -837,8 +831,8 @@ def _subset_index(subsets: list[Subset]) -> SubsetIndex:
                                   sum(1 << u for u in component))
                     for u in component:
                         reach[u] = bits
-    for sub, ks in heads.items():
-        index.reach[sub] = reduce(or_, [reach[k] for k in ks])
+    for sub, group in index.edges.items():
+        index.reach[sub] = reduce(or_, [reach[bit[s.sup]] for s in group])
     return index
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import shlex
+import sys
 
 import pytest
 
@@ -159,8 +160,17 @@ class TestCheck:
         assert err == (f"{path}:3:1: expression nested too deeply\n"
                        f"{path}:4:1: expression nested too deeply\n")
 
-    def test_sanity_pass(self, kb_file, capsys):
-        assert run(["check", kb_file(COIN)]) == 0
+    def test_sanity_pass(self, kb_file, capsys, monkeypatch):
+        path = kb_file(COIN)
+        monkeypatch.delenv("REFCLASS_NO_COLOR", raising=False)
+        assert run(["check", path]) == 0
+        assert capsys.readouterr().out == "sanity checks passed\n"  # not a terminal
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        assert run(["check", path]) == 0
+        assert capsys.readouterr().out == "\x1b[32msanity checks passed\x1b[0m\n"
+        monkeypatch.setenv("REFCLASS_NO_COLOR", "1")
+        assert run(["check", path]) == 0
+        assert capsys.readouterr().out == "sanity checks passed\n"
 
     def test_model_found(self, kb_file, capsys):
         code = run(["check", kb_file(COIN), "--model", "4", "--json"])

@@ -1,5 +1,6 @@
 """Consistency: sanity checks, model search, model verification."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,24 @@ class TestSanityCheck:
         report = rc.sanity_check(b.close())
         assert report.ok
         assert len(report.warnings) == 1
+
+    def test_warnings_in_subclass_table_order(self):
+        """An individual's unmet edges come most specific subclass first,
+        also when its top class has fewer subsets than there are asserted
+        subclasses, so they are looked up one by one, fewest atoms first."""
+        b = rc.KBBuilder()
+        for name in "abcde":
+            b.declare_class(name)
+        b.declare_individual("i")
+        b.assert_member("i", cls("a"))
+        b.assert_member("i", cls("b"))
+        for sub, sup in [(cls("a"), cls("d")), (cls("a", "b"), cls("c")),
+                         (cls("c"), cls("e")), (cls("d"), cls("e"))]:
+            b.assert_subset(sub, sup)
+        assert [w.split(", but")[0] for w in rc.sanity_check(b.close()).warnings] == [
+            "i is known to be in a & b and a & b < c is asserted",
+            "i is known to be in a and a < d is asserted",
+        ]
 
     def test_report_serializable(self, coin_kb):
         d = rc.sanity_check(coin_kb).to_dict()
@@ -230,6 +249,28 @@ class TestVerifyModel:
             individual_map={"t14": 0},
         )
         assert not rc.verify_model(coin_kb, model)
+
+    def test_malformed_individual_map(self, coin_kb):
+        good = rc.find_model(coin_kb, 3)
+        n = len(good.population)
+        assert rc.verify_model(coin_kb, good)
+        assert not rc.verify_model(coin_kb, replace(good, population=()))
+        assert not rc.verify_model(coin_kb, replace(good, individual_map={}))
+        for k in (n, -1):  # -1 would read as the last element
+            assert not rc.verify_model(coin_kb, replace(good, individual_map={"t14": k}))
+        # two individuals must denote two elements
+        b = rc.KBBuilder()
+        b.declare_class("a")
+        for ind in ("i", "j"):
+            b.declare_individual(ind)
+            b.assert_member(ind, cls("a"))
+        shared = rc.FiniteModel(
+            class_atoms=("a",),
+            property_atoms=(),
+            population=((frozenset({"a"}), frozenset()),),
+            individual_map={"i": 0, "j": 0},
+        )
+        assert not rc.verify_model(b.close(), shared)
 
     def test_equivalent_sentences_must_agree(self):
         b = rc.KBBuilder()

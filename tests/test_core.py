@@ -51,6 +51,11 @@ class TestCanonicalizeClass:
         with pytest.raises(rc.ValidationError, match="^not a class expression: PropNot$"):
             rc.canonicalize_class(expr)
 
+    @pytest.mark.parametrize("atoms", [("b", "a"), ("a", "a")])
+    def test_non_canonical_atoms_rejected(self, atoms):
+        with pytest.raises(rc.ValidationError, match="^class atoms not canonical: "):
+            rc.CanonicalClass(atoms)
+
     def test_intersection_properties(self):
         a, b = cls("a"), cls("b")
         assert a.intersect(b) == b.intersect(a) == cls("a", "b")
@@ -351,6 +356,8 @@ class TestClose:
         for s in ckb.statements:
             b2.assert_statement(s)
         assert closure_signature(b2.close()) == closure_signature(ckb)
+        with pytest.raises(rc.ValidationError, match="^unknown statement: 'member t14 in tosses'$"):
+            b2.assert_statement("member t14 in tosses")
 
     def test_sentence_class_stored_once(self, monkeypatch):
         """One class of 500 labels with distinct forms: every label maps to

@@ -143,6 +143,11 @@ class TestParseQuery:
         # reuse on repeat
         assert rc.parse_query("heads(t14)", b) == label
         assert rc.parse_query("!!heads(t14)", b) == label
+        # a declared label is skipped, and the answers agree
+        b = rc.parse_kb(COIN_TEXT + "sentence __q0 iff heads(t14)\n")
+        assert rc.parse_query("heads(t14)", b) == "__q1"
+        ckb = b.close()
+        assert rc.prob_interval(ckb, "__q1") == rc.prob_interval(ckb, "__q0")
 
     def test_contradiction_form(self):
         b = rc.parse_kb(COIN_TEXT)
