@@ -11,8 +11,6 @@ from .core import (
     UNIVERSAL,
     CanonicalClass,
     CanonicalProperty,
-    ClassAnd,
-    ClassAtom,
     ClosedKB,
     DeclarationError,
     InconsistencyError,
@@ -28,7 +26,6 @@ from .core import (
     Stat,
     Subset,
     ValidationError,
-    canonicalize_class,
     canonicalize_property,
     close,
 )
@@ -57,8 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalClass", "CanonicalProperty", "Interval", "ClosedKB", "KBBuilder",
     "Stat", "Member", "Subset", "SentenceForm", "SentenceEquiv",
-    "ClassAtom", "ClassAnd", "PropAtom", "PropNot", "PropAnd",
-    "canonicalize_class", "canonicalize_property", "close",
+    "PropAtom", "PropNot", "PropAnd", "canonicalize_property", "close",
     "UNIVERSAL", "UNIT", "CERTAIN", "IMPOSSIBLE", "TAUTOLOGY", "CONTRADICTION",
     "KBError", "DeclarationError", "ValidationError", "InconsistencyError",
     "differ", "build_table", "filter_rows", "survivors", "resolve",

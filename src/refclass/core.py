@@ -85,7 +85,7 @@ class CanonicalClass:
         return not self.atoms
 
     def intersect(self, other: "CanonicalClass") -> "CanonicalClass":
-        return CanonicalClass(tuple(sorted(set(self.atoms) | set(other.atoms))))
+        return CanonicalClass._from_sorted(tuple(sorted(set(self.atoms) | set(other.atoms))))
 
     def sort_key(self):
         # Most specific (most atoms) first; U sorts last.
@@ -196,22 +196,8 @@ CONTRADICTION = CanonicalProperty((), 0)
 
 
 # ---------------------------------------------------------------------------
-# Expression trees (used by the DSL and by callers who prefer syntax)
+# Property expression trees (the DSL's parse trees)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassAtom:
-    name: str
-
-
-@dataclass(frozen=True)
-class ClassAnd:
-    left: "ClassExpr"
-    right: "ClassExpr"
-
-
-ClassExpr = Union[ClassAtom, ClassAnd]
 
 
 @dataclass(frozen=True)
@@ -234,22 +220,6 @@ PropExpr = Union[PropAtom, PropNot, PropAnd]
 
 
 _TOO_DEEP = "expression nested too deeply"
-
-
-def canonicalize_class(expr: ClassExpr) -> CanonicalClass:
-    """Flatten an intersection tree into a sorted atom set.  The atoms are
-    not checked against any declaration: :class:`KBBuilder` does that."""
-    atoms: set[str] = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, ClassAtom):
-            atoms.add(e.name)
-        elif isinstance(e, ClassAnd):
-            stack += (e.right, e.left)
-        else:
-            raise ValidationError(f"not a class expression: {type(e).__name__}")
-    return CanonicalClass(tuple(sorted(atoms)))
 
 
 def canonicalize_property(expr: PropExpr) -> CanonicalProperty:
@@ -854,7 +824,8 @@ def close(builder: KBBuilder) -> ClosedKB:
     for ind, group in itertools.groupby(members, key=attrgetter("individual")):
         gens = tuple(sorted(m.cls.atoms for m in group))
         if gens not in shared:
-            shared[gens] = Profile(gens, CanonicalClass(tuple(sorted(frozenset().union(*gens)))))
+            top = CanonicalClass._from_sorted(tuple(sorted(frozenset().union(*gens))))
+            shared[gens] = Profile(gens, top)
         profiles[ind] = shared[gens]
 
     # subset relation: the reach of asserted edges

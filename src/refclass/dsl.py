@@ -191,7 +191,7 @@ class _Parser:
         atoms = {self.declared_id("class atom", "class", self.builder.class_atoms)}
         while self.accept("&"):
             atoms.add(self.declared_id("class atom", "class", self.builder.class_atoms))
-        return CanonicalClass(tuple(sorted(atoms)))
+        return CanonicalClass._from_sorted(tuple(sorted(atoms)))
 
     def prop_expr(self) -> CanonicalProperty:
         return self.canonical_of(self._prop_tree())
@@ -303,7 +303,7 @@ class _Parser:
                 getattr(b, f"declare_{m['decl']}")(m["name"])
             elif m["ind"]:
                 atoms = tuple(sorted(set(m["atoms"].split(" & "))))
-                b.assert_member(m["ind"], CanonicalClass(atoms))
+                b.assert_member(m["ind"], CanonicalClass._from_sorted(atoms))
             elif m["label"] in b.sentence_forms:
                 return False
             else:
@@ -429,9 +429,8 @@ def render(builder: KBBuilder) -> str:
                         ("individual", builder.individuals)):
         lines.extend(f"{kind} {name}" for name in sorted(names))
     fallback = min(builder.property_atoms, default=None)
-    for f in builder.forms:
-        prop = _render_property(f.prop, fallback)
-        lines.append(f"sentence {f.sentence} iff {prop}({f.individual})")
+    for label, (prop, individual) in sorted(builder.sentence_forms.items()):
+        lines.append(f"sentence {label} iff {_render_property(prop, fallback)}({individual})")
     for s in builder.stats:
         cls = " & ".join(s.cls.atoms)
         prop = _render_property(s.prop, fallback)

@@ -17,11 +17,9 @@ from conftest import (
 ATOMS = ["a", "b", "c"]
 
 
-def class_exprs():
-    atom = st.sampled_from(ATOMS).map(rc.ClassAtom)
-    return st.recursive(
-        atom, lambda sub: st.builds(rc.ClassAnd, sub, sub), max_leaves=6
-    )
+def classes():
+    atoms = st.sets(st.sampled_from(ATOMS), min_size=1)
+    return atoms.map(lambda a: rc.CanonicalClass(tuple(sorted(a))))
 
 
 def prop_exprs():
@@ -35,38 +33,9 @@ def prop_exprs():
     )
 
 
-def _expr_atoms(expr) -> list[str]:
-    if isinstance(expr, (rc.ClassAtom, rc.PropAtom)):
-        return [expr.name]
-    if isinstance(expr, rc.PropNot):
-        return _expr_atoms(expr.arg)
-    return _expr_atoms(expr.left) + _expr_atoms(expr.right)
-
-
-def _class_expr_of(atoms):
-    expr = rc.ClassAtom(atoms[0])
-    for a in atoms[1:]:
-        expr = rc.ClassAnd(expr, rc.ClassAtom(a))
-    return expr
-
-
-@given(class_exprs())
-def test_class_canonicalization_idempotent(expr):
-    c = rc.canonicalize_class(expr)
-    assert rc.canonicalize_class(_class_expr_of(c.atoms)) == c
-    assert tuple(sorted(set(c.atoms))) == c.atoms
-
-
-@given(class_exprs())
-def test_class_canonicalization_order_insensitive(expr):
-    c = rc.canonicalize_class(expr)
-    shuffled = _class_expr_of(tuple(reversed(c.atoms)))
-    assert rc.canonicalize_class(shuffled) == c
-
-
-@given(class_exprs(), class_exprs())
-def test_class_intersection_commutative(e1, e2):
-    c1, c2 = rc.canonicalize_class(e1), rc.canonicalize_class(e2)
+@given(classes(), classes())
+def test_class_intersection_commutative(c1, c2):
+    assert c1.intersect(c2).atoms == tuple(sorted(set(c1.atoms) | set(c2.atoms)))
     assert c1.intersect(c2) == c2.intersect(c1)
     assert c1.intersect(c1) == c1
 
