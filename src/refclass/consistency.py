@@ -13,7 +13,6 @@ the bound is part of the verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -25,16 +24,22 @@ from .core import (
     SentenceForm,
     Stat,
     Subset,
+    _Record,
+    _Value,
     _atom_tables,
     _bits,
     _classes_within,
+    _setfield,
 )
 
 
-@dataclass
-class SanityReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class SanityReport(_Record):
+    _fields = ("violations", "warnings")
+
+    def __init__(self, violations: Optional[list[str]] = None,
+                 warnings: Optional[list[str]] = None):
+        self.violations = [] if violations is None else violations
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:
@@ -74,14 +79,21 @@ def sanity_check(ckb: ClosedKB) -> SanityReport:
     return report
 
 
-@dataclass(frozen=True)
-class FiniteModel:
+class FiniteModel(_Value):
     """A finite population with per-element class and property bits."""
 
-    class_atoms: tuple[str, ...]
-    property_atoms: tuple[str, ...]
-    population: tuple[tuple[frozenset[str], frozenset[str]], ...]
-    individual_map: dict[str, int] = field(hash=False)
+    _fields = ("class_atoms", "property_atoms", "population", "individual_map")
+
+    def __init__(self, class_atoms: tuple[str, ...], property_atoms: tuple[str, ...],
+                 population: tuple[tuple[frozenset[str], frozenset[str]], ...],
+                 individual_map: dict[str, int]):
+        _setfield(self, "class_atoms", class_atoms)
+        _setfield(self, "property_atoms", property_atoms)
+        _setfield(self, "population", population)
+        _setfield(self, "individual_map", individual_map)
+
+    def __hash__(self) -> int:  # the individual map is left out
+        return hash((self.class_atoms, self.property_atoms, self.population))
 
     def extension(self, cls: CanonicalClass) -> list[int]:
         need = set(cls.atoms)

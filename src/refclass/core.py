@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_, attrgetter, or_
@@ -52,14 +51,65 @@ def _check_declared(kind: str, name: str, declared: Container[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
+
+
+class _Record:
+    """Base of the record types, mutable and unhashable: ``_fields`` names the
+    fields, in order, that ``repr`` shows and that ``==`` compares as one
+    tuple between two values of one type, as a dataclass does."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:  # not _Value, which has none
+            cls._key = attrgetter(*cls._fields)  # the fields' tuple, if two or more
+            cls.__match_args__ = cls._fields
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+
+# How a frozen value's __init__ sets a field.  Unlike writing to `__dict__`,
+# it keeps the instance's attributes in the compact per-class layout.
+_setfield = object.__setattr__
+
+
+class _Value(_Record):
+    """An immutable record, hashed by its fields' tuple.  Its ``__init__``
+    sets the fields with ``_setfield``; assigning or deleting one raises
+    AttributeError.  The types on hot paths write their own ``__eq__`` and
+    ``__hash__`` over the same fields, which run faster than the shared ones."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Reference classes
 # ---------------------------------------------------------------------------
 
 UNIVERSAL_NAME = "U"
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
+class CanonicalClass(_Value):
     """A reference class in canonical intersection form: a sorted atom tuple.
 
     The empty tuple is the built-in universal class U (identity of
@@ -67,18 +117,27 @@ class CanonicalClass:
     are equal.
     """
 
-    atoms: tuple[str, ...]
+    _fields = ("atoms",)
 
-    def __post_init__(self):
-        if tuple(sorted(set(self.atoms))) != self.atoms:
-            raise ValidationError(f"class atoms not canonical: {self.atoms!r}")
+    def __init__(self, atoms: tuple[str, ...]):
+        if tuple(sorted(set(atoms))) != atoms:
+            raise ValidationError(f"class atoms not canonical: {atoms!r}")
+        _setfield(self, "atoms", atoms)
 
     @classmethod
     def _from_sorted(cls, atoms: tuple[str, ...]) -> "CanonicalClass":
         """A class from atoms already sorted and distinct, unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "atoms", atoms)
+        _setfield(self, "atoms", atoms)
         return self
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.atoms == other.atoms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atoms,))
 
     @property
     def is_universal(self) -> bool:
@@ -106,8 +165,7 @@ UNIVERSAL = CanonicalClass(())
 _SWAP_BITS = str.maketrans("01", "10")
 
 
-@dataclass(frozen=True)
-class CanonicalProperty:
+class CanonicalProperty(_Value):
     """A property as a reduced truth table over its essential atoms.
 
     ``atoms`` is sorted; bit m of ``table`` is set iff the assignment m
@@ -116,8 +174,19 @@ class CanonicalProperty:
     formulas are equal.
     """
 
-    atoms: tuple[str, ...]
-    table: int
+    _fields = ("atoms", "table")
+
+    def __init__(self, atoms: tuple[str, ...], table: int):
+        _setfield(self, "atoms", atoms)
+        _setfield(self, "table", table)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.table == other.table and self.atoms == other.atoms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.table))
 
     @property
     def is_tautology(self) -> bool:
@@ -200,20 +269,50 @@ CONTRADICTION = CanonicalProperty((), 0)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropAtom:
-    name: str
+class PropAtom(_Value):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        _setfield(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class PropNot:
-    arg: "PropExpr"
+class PropNot(_Value):
+    _fields = ("arg",)
+
+    def __init__(self, arg: "PropExpr"):
+        _setfield(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.arg == other.arg
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.arg,))
 
 
-@dataclass(frozen=True)
-class PropAnd:
-    left: "PropExpr"
-    right: "PropExpr"
+class PropAnd(_Value):
+    _fields = ("left", "right")
+
+    def __init__(self, left: "PropExpr", right: "PropExpr"):
+        _setfield(self, "left", left)
+        _setfield(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.left == other.left and self.right == other.right
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
 PropExpr = Union[PropAtom, PropNot, PropAnd]
@@ -269,22 +368,29 @@ def canonicalize_property(expr: PropExpr) -> CanonicalProperty:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Value):
     """A closed subinterval of [0, 1] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        for x in (self.lo, self.hi):
-            if isinstance(x, float):  # 0.1 is not 1/10
-                raise ValidationError(f"inexact endpoint {x!r}: use a Fraction or a decimal string")
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if type(lo) is not Fraction or type(hi) is not Fraction:
+            for x in (lo, hi):
+                if isinstance(x, float):  # 0.1 is not 1/10
+                    raise ValidationError(f"inexact endpoint {x!r}: use a Fraction or a decimal string")
+            lo, hi = Fraction(lo), Fraction(hi)
         if not (0 <= lo <= hi <= 1):
             raise ValidationError(f"malformed interval [{lo}, {hi}]")
+        _setfield(self, "lo", lo)
+        _setfield(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, x) -> "Interval":
@@ -317,40 +423,57 @@ IMPOSSIBLE = Interval(Fraction(0), Fraction(0))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stat:
-    cls: CanonicalClass
-    prop: CanonicalProperty
-    interval: Interval
+class Stat(_Value):
+    _fields = ("cls", "prop", "interval")
+
+    def __init__(self, cls: CanonicalClass, prop: CanonicalProperty, interval: Interval):
+        _setfield(self, "cls", cls)
+        _setfield(self, "prop", prop)
+        _setfield(self, "interval", interval)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cls == other.cls and self.prop == other.prop
+                    and self.interval == other.interval)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cls, self.prop, self.interval))
 
 
-@dataclass(frozen=True)
-class Member:
-    individual: str
-    cls: CanonicalClass
+class Member(_Value):
+    _fields = ("individual", "cls")
+
+    def __init__(self, individual: str, cls: CanonicalClass):
+        _setfield(self, "individual", individual)
+        _setfield(self, "cls", cls)
 
 
-@dataclass(frozen=True)
-class Subset:
-    sub: CanonicalClass
-    sup: CanonicalClass
+class Subset(_Value):
+    _fields = ("sub", "sup")
 
-    def __post_init__(self):
-        if self.sub == self.sup:
-            raise ValidationError(f"subset statement with identical classes: {self.sub}")
-
-
-@dataclass(frozen=True)
-class SentenceForm:
-    sentence: str
-    prop: CanonicalProperty
-    individual: str
+    def __init__(self, sub: CanonicalClass, sup: CanonicalClass):
+        if sub == sup:
+            raise ValidationError(f"subset statement with identical classes: {sub}")
+        _setfield(self, "sub", sub)
+        _setfield(self, "sup", sup)
 
 
-@dataclass(frozen=True)
-class SentenceEquiv:
-    s1: str
-    s2: str
+class SentenceForm(_Value):
+    _fields = ("sentence", "prop", "individual")
+
+    def __init__(self, sentence: str, prop: CanonicalProperty, individual: str):
+        _setfield(self, "sentence", sentence)
+        _setfield(self, "prop", prop)
+        _setfield(self, "individual", individual)
+
+
+class SentenceEquiv(_Value):
+    _fields = ("s1", "s2")
+
+    def __init__(self, s1: str, s2: str):
+        _setfield(self, "s1", s1)
+        _setfield(self, "s2", s2)
 
 
 Statement = Union[Stat, Member, Subset, SentenceForm, SentenceEquiv]
@@ -525,8 +648,7 @@ def _check_identifier(name: str) -> None:
 StatIndex = dict[CanonicalProperty, dict[tuple[str, ...], tuple[CanonicalClass, Interval, int, int]]]
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
+class SubsetIndex(_Value):
     """Known inclusion through asserted subsets, as bitsets over the distinct
     asserted superclasses in canonical order (bit k is ``superclasses[k]``).
 
@@ -536,12 +658,17 @@ class SubsetIndex:
     ``with_atom`` maps a class atom to the superclasses that have it.
     """
 
-    superclasses: tuple[CanonicalClass, ...]
-    edges: dict[tuple[str, ...], list[Subset]]
-    reach: dict[tuple[str, ...], int]
-    with_atom: dict[str, int]
-    _below: dict = field(default_factory=dict, repr=False, compare=False)
-    _above: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("superclasses", "edges", "reach", "with_atom")
+
+    def __init__(self, superclasses: tuple[CanonicalClass, ...],
+                 edges: dict[tuple[str, ...], list[Subset]],
+                 reach: dict[tuple[str, ...], int], with_atom: dict[str, int]):
+        _setfield(self, "superclasses", superclasses)
+        _setfield(self, "edges", edges)
+        _setfield(self, "reach", reach)
+        _setfield(self, "with_atom", with_atom)
+        _setfield(self, "_below", {})  # the caches of below() and above(), not fields
+        _setfield(self, "_above", {})
 
     def below(self, atoms: tuple[str, ...]) -> int:
         """The superclasses the class of `atoms` reaches, cached."""
@@ -559,16 +686,18 @@ class SubsetIndex:
         return got
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Value):
     """A membership profile: the sorted atoms of an individual's asserted
     membership classes, its generators, and their union, its most specific
     known class (U if none).  A class is a known membership iff its atoms
     are the union of the generators inside it: :meth:`covers` tests that in
     O(k) for k generators, and :attr:`classes` lists all 2^k on first ask."""
 
-    generators: tuple[tuple[str, ...], ...]
-    top: CanonicalClass
+    _fields = ("generators", "top")
+
+    def __init__(self, generators: tuple[tuple[str, ...], ...], top: CanonicalClass):
+        _setfield(self, "generators", generators)
+        _setfield(self, "top", top)
 
     def covers(self, atoms: Iterable[str]) -> bool:
         """True iff the class of `atoms` is a known membership."""
@@ -583,8 +712,7 @@ class Profile:
         return tuple(map(CanonicalClass._from_sorted, ordered))
 
 
-@dataclass(frozen=True)
-class ClosedKB:
+class ClosedKB(_Value):
     """The knowledge base after deductive closure.  Immutable.
 
     Memberships are kept implicit: ``profiles`` maps each individual to its
@@ -617,15 +745,27 @@ class ClosedKB:
     inference module, per (profile generators, property, point mode).
     """
 
-    class_atoms: frozenset[str]
-    property_atoms: frozenset[str]
-    individuals: frozenset[str]
-    statements: tuple[Statement, ...]
-    profiles: Mapping[str, Profile] = field(hash=False)
-    subset_index: SubsetIndex = field(hash=False)
-    sentence_groups: Mapping[str, frozenset[str]] = field(hash=False)
-    sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]] = field(hash=False)
-    stats: Mapping[tuple[tuple[str, ...], CanonicalProperty], Interval] = field(hash=False)
+    _fields = ("class_atoms", "property_atoms", "individuals", "statements", "profiles",
+               "subset_index", "sentence_groups", "sentence_forms", "stats")
+
+    def __init__(self, class_atoms: frozenset[str], property_atoms: frozenset[str],
+                 individuals: frozenset[str], statements: tuple[Statement, ...],
+                 profiles: Mapping[str, Profile], subset_index: SubsetIndex,
+                 sentence_groups: Mapping[str, frozenset[str]],
+                 sentence_forms: Mapping[str, tuple[tuple[CanonicalProperty, str], ...]],
+                 stats: Mapping[tuple[tuple[str, ...], CanonicalProperty], Interval]):
+        _setfield(self, "class_atoms", class_atoms)
+        _setfield(self, "property_atoms", property_atoms)
+        _setfield(self, "individuals", individuals)
+        _setfield(self, "statements", statements)
+        _setfield(self, "profiles", profiles)
+        _setfield(self, "subset_index", subset_index)
+        _setfield(self, "sentence_groups", sentence_groups)
+        _setfield(self, "sentence_forms", sentence_forms)
+        _setfield(self, "stats", stats)
+
+    def __hash__(self) -> int:  # the mappings are left out
+        return hash((self.class_atoms, self.property_atoms, self.individuals, self.statements))
 
     def table_classes(self, individual: str) -> tuple[CanonicalClass, ...]:
         """The individual's known memberships in table order: :attr:`Profile.classes`."""

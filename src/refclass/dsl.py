@@ -31,7 +31,6 @@ and parsed alone, so every diagnostic comes from the token parser.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -47,6 +46,7 @@ from .core import (
     PropNot,
     canonicalize_property,
     _IDENTIFIER,
+    _Record,
     _TOO_DEEP,
     _check_declared,
 )
@@ -70,11 +70,11 @@ _FLAT_RE = re.compile(
 )
 
 
-@dataclass
-class DslError(KBError):
-    message: str
-    line: int
-    column: int
+class DslError(_Record, KBError):
+    _fields = ("message", "line", "column")
+
+    def __init__(self, message: str, line: int, column: int):
+        self.message, self.line, self.column = message, line, column
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}: {self.message}"

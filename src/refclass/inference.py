@@ -10,7 +10,6 @@ once per membership profile; `explain` lists every known class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -22,8 +21,10 @@ from .core import (
     ClosedKB,
     Interval,
     Profile,
+    _Value,
     _classes_within,
     _endpoint_ranks,
+    _setfield,
 )
 
 # Undefined reasons
@@ -45,12 +46,15 @@ def differ(a: Interval, b: Interval) -> bool:
     return not a.includes(b) and not b.includes(a)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    cls: CanonicalClass
-    interval: Interval
-    status: str = LIVE
-    witness: Optional[CanonicalClass] = None
+class TableRow(_Value):
+    _fields = ("cls", "interval", "status", "witness")
+
+    def __init__(self, cls: CanonicalClass, interval: Interval, status: str = LIVE,
+                 witness: Optional[CanonicalClass] = None):
+        _setfield(self, "cls", cls)
+        _setfield(self, "interval", interval)
+        _setfield(self, "status", status)
+        _setfield(self, "witness", witness)
 
     def to_dict(self) -> dict:
         d = {
@@ -63,13 +67,18 @@ class TableRow:
         return d
 
 
-@dataclass(frozen=True)
-class ProbResult:
-    defined: bool
-    interval: Optional[Interval] = None
-    selected: Optional[CanonicalClass] = None
-    form: Optional[tuple[CanonicalProperty, str]] = None
-    reason: Optional[str] = None
+class ProbResult(_Value):
+    _fields = ("defined", "interval", "selected", "form", "reason")
+
+    def __init__(self, defined: bool, interval: Optional[Interval] = None,
+                 selected: Optional[CanonicalClass] = None,
+                 form: Optional[tuple[CanonicalProperty, str]] = None,
+                 reason: Optional[str] = None):
+        _setfield(self, "defined", defined)
+        _setfield(self, "interval", interval)
+        _setfield(self, "selected", selected)
+        _setfield(self, "form", form)
+        _setfield(self, "reason", reason)
 
     @classmethod
     def of(cls, interval: Interval, selected: CanonicalClass,
@@ -155,12 +164,15 @@ def resolve(rows: list[TableRow]) -> tuple[Interval, CanonicalClass]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormTrace:
-    prop: CanonicalProperty
-    individual: str
-    rows: tuple[TableRow, ...]
-    result: ProbResult
+class FormTrace(_Value):
+    _fields = ("prop", "individual", "rows", "result")
+
+    def __init__(self, prop: CanonicalProperty, individual: str, rows: tuple[TableRow, ...],
+                 result: ProbResult):
+        _setfield(self, "prop", prop)
+        _setfield(self, "individual", individual)
+        _setfield(self, "rows", rows)
+        _setfield(self, "result", result)
 
     def to_dict(self) -> dict:
         return {
@@ -171,12 +183,14 @@ class FormTrace:
         }
 
 
-@dataclass(frozen=True)
-class Trace:
-    sentence: str
-    mode: str
-    forms: tuple[FormTrace, ...]
-    result: ProbResult
+class Trace(_Value):
+    _fields = ("sentence", "mode", "forms", "result")
+
+    def __init__(self, sentence: str, mode: str, forms: tuple[FormTrace, ...], result: ProbResult):
+        _setfield(self, "sentence", sentence)
+        _setfield(self, "mode", mode)
+        _setfield(self, "forms", forms)
+        _setfield(self, "result", result)
 
     def to_dict(self) -> dict:
         return {

@@ -1,6 +1,5 @@
 """Consistency: sanity checks, model search, model verification."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -108,9 +107,10 @@ class TestFindModel:
         b.declare_property("p")
         b.assert_stat(cls("r"), prop("p"), rc.Interval.point(Fraction(3, 10)))
         ckb = b.close()
-        import dataclasses
         extra = rc.Stat(cls("r"), prop("p"), rc.Interval.point(Fraction(3, 5)))
-        ckb = dataclasses.replace(ckb, statements=ckb.statements + (extra,))
+        ckb = rc.ClosedKB(ckb.class_atoms, ckb.property_atoms, ckb.individuals,
+                          ckb.statements + (extra,), ckb.profiles, ckb.subset_index,
+                          ckb.sentence_groups, ckb.sentence_forms, ckb.stats)
         for bound in range(1, 7):
             assert rc.find_model(ckb, bound) is None
 
@@ -253,11 +253,15 @@ class TestVerifyModel:
     def test_malformed_individual_map(self, coin_kb):
         good = rc.find_model(coin_kb, 3)
         n = len(good.population)
+
+        def model(population, individual_map):
+            return rc.FiniteModel(good.class_atoms, good.property_atoms, population, individual_map)
+
         assert rc.verify_model(coin_kb, good)
-        assert not rc.verify_model(coin_kb, replace(good, population=()))
-        assert not rc.verify_model(coin_kb, replace(good, individual_map={}))
+        assert not rc.verify_model(coin_kb, model((), good.individual_map))
+        assert not rc.verify_model(coin_kb, model(good.population, {}))
         for k in (n, -1):  # -1 would read as the last element
-            assert not rc.verify_model(coin_kb, replace(good, individual_map={"t14": k}))
+            assert not rc.verify_model(coin_kb, model(good.population, {"t14": k}))
         # two individuals must denote two elements
         b = rc.KBBuilder()
         b.declare_class("a")
